@@ -58,17 +58,22 @@
 //     closed-form α-β cost functions remain as the analytic oracle: on
 //     contention-free topologies the simulated collectives match them to
 //     1e-9, and reduced values are bit-identical to comm.ReduceSum for
-//     every schedule;
+//     every schedule. A party drives all of it through one handle,
+//     comm.Endpoint: each collective comes in payload, size-only (…Size,
+//     or simply a nil buffer) and bucketed …Range form, all executed by
+//     one runner;
 //   - hierarchical two-level clusters (comm.NewMultiLevel): per-node
 //     sub-topologies (PCIe trees) composed under an inter-node fabric with
 //     an optional per-node NIC concurrency bound, and hierarchical
 //     collectives (comm.HierCommunicator) in the intra-reduce →
 //     leader-allreduce → intra-broadcast shape, with independently
-//     selectable schedules per level. Both engine invariants extend to the
-//     composition: completion matches the composed oracle
+//     selectable schedules per level. The hierarchy is a second engine
+//     behind the same comm.Endpoint, not a second API: the composition of
+//     flat communicators hands out the handle a flat one does. Both engine
+//     invariants extend to the composition: completion matches the oracle
 //     (comm.HierAllReduceTime) on contention-free topologies, and the
-//     intra phase gathers global-rank-tagged contribution lists so
-//     HierAllReduce stays bit-identical to ReduceSum for every
+//     intra phase gathers global-rank-tagged contribution lists so the
+//     hierarchical allreduce stays bit-identical to ReduceSum for every
 //     (intra, inter) schedule pair, including the bucketed Range variants
 //     the streaming pipeline uses. Config.Nodes/GPUsPerNode select the
 //     composed cluster for two training methods: "hier-sync-sgd" (the

@@ -211,7 +211,7 @@ type Communicator struct {
 	// it with ranks remapped through liveOf, so schedules re-form over the
 	// survivors instead of deadlocking on the dead rank.
 	dead   map[int]bool
-	sub    *Communicator
+	sub    engine
 	liveOf []int // original rank -> sub rank, -1 for dead
 }
 
@@ -318,56 +318,16 @@ func (c *Communicator) MarkDead(rank int) {
 	})
 }
 
-// subRankOf maps an original rank to its survivor-communicator rank.
-func (c *Communicator) subRankOf(rank int) int {
-	sr := c.liveOf[rank]
-	if sr < 0 {
-		panic(fmt.Sprintf("comm: dead rank %d used in a collective", rank))
-	}
-	return sr
-}
-
-// Plan returns the communicator's message plan.
-func (c *Communicator) Plan() Plan { return c.plan }
-
-// Schedule returns the configured allreduce schedule.
-func (c *Communicator) Schedule() Schedule { return c.sched }
-
 // BytesMoved reports the underlying topology's cumulative wire bytes.
 func (c *Communicator) BytesMoved() int64 { return c.topo.BytesMoved() }
 
 // Endpoint returns party rank's handle; collective methods are issued
 // through it from the party's own simulated process.
-func (c *Communicator) Endpoint(rank int) *Endpoint {
-	if rank < 0 || rank >= len(c.parties) {
-		panic(fmt.Sprintf("comm: endpoint %d of %d parties", rank, len(c.parties)))
-	}
-	return &Endpoint{c: c, rank: rank}
-}
+func (c *Communicator) Endpoint(rank int) *Endpoint { return newEndpoint(c, rank) }
 
-// Endpoint is one party's handle into a Communicator.
-type Endpoint struct {
-	c    *Communicator
-	rank int
-}
+func (c *Communicator) msgPlan() Plan { return c.plan }
 
-// Rank returns the party rank.
-func (ep *Endpoint) Rank() int { return ep.rank }
-
-// MarkDead declares party rank dead on the endpoint's communicator (see
-// Communicator.MarkDead); every surviving party must call it.
-func (ep *Endpoint) MarkDead(rank int) { ep.c.MarkDead(rank) }
-
-// delegate returns the survivor communicator's endpoint for this party, or
-// nil while every party is alive. Collective methods re-issue themselves
-// through it (recursively, if deaths have stacked) so the schedule always
-// spans exactly the live membership.
-func (ep *Endpoint) delegate() *Endpoint {
-	if ep.c.sub == nil {
-		return nil
-	}
-	return ep.c.sub.Endpoint(ep.c.subRankOf(ep.rank))
-}
+func (c *Communicator) survivors() (engine, []int) { return c.sub, c.liveOf }
 
 // phases keep concurrent collectives of the same round apart.
 const (
@@ -518,16 +478,11 @@ func (c *Communicator) wireOf(elems int) int64 {
 	return int64(elems) * 4
 }
 
-// segments returns the plan's element ranges over the model vector.
-func (c *Communicator) segments() [][2]int { return planSegments(c.plan) }
-
-// planSegments returns a plan's message-segment element ranges: one packed
-// whole-model range, or one range per layer.
-func planSegments(plan Plan) [][2]int {
-	var segs [][2]int
+// planSegments appends a plan's message-segment element ranges to segs: one
+// packed whole-model range, or one range per layer.
+func planSegments(segs [][2]int, plan Plan) [][2]int {
 	if plan.Packed || len(plan.LayerBytes) <= 1 {
-		segs = append(segs, [2]int{0, int(plan.TotalBytes() / 4)})
-		return segs
+		return append(segs, [2]int{0, int(plan.TotalBytes() / 4)})
 	}
 	lo := 0
 	for _, b := range plan.LayerBytes {
@@ -536,41 +491,6 @@ func planSegments(plan Plan) [][2]int {
 		lo = hi
 	}
 	return segs
-}
-
-// stage charges the unpacked plan's gather/scatter staging pass (the cost
-// packed single-buffer layouts avoid — §5.2's second effect). Every party
-// stages concurrently, so one collective exposes exactly one staging time.
-func (c *Communicator) stage(p *sim.Proc) {
-	c.stageBytes(p, c.plan.TotalBytes())
-}
-
-// stageBytes charges the gather/scatter staging for n bytes of an unpacked
-// plan — the Range collectives' pro-rata share of stage(), so bucketed
-// staging sums to exactly the monolithic pass.
-func (c *Communicator) stageBytes(p *sim.Proc, n int64) {
-	if !c.plan.Packed && c.plan.GatherBW > 0 && len(c.plan.LayerBytes) > 0 {
-		p.Delay(float64(n) / c.plan.GatherBW)
-	}
-}
-
-// checkBuf validates a data-mode buffer against the plan.
-func (c *Communicator) checkBuf(buf []float32) {
-	if int64(len(buf))*4 != c.plan.TotalBytes() {
-		panic(fmt.Sprintf("comm: buffer of %d elements does not match plan of %d bytes",
-			len(buf), c.plan.TotalBytes()))
-	}
-}
-
-// checkRange validates a Range collective's buffer and element range. A nil
-// buf selects size-only mode.
-func (c *Communicator) checkRange(buf []float32, lo, hi int) {
-	if buf != nil {
-		c.checkBuf(buf)
-	}
-	if lo < 0 || hi < lo || int64(hi)*4 > c.plan.TotalBytes() {
-		panic(fmt.Sprintf("comm: range [%d,%d) outside plan of %d bytes", lo, hi, c.plan.TotalBytes()))
-	}
 }
 
 // send transmits m from party rank `from` to `to`, charging wireBytes. The
@@ -714,143 +634,7 @@ func orderedSum(dst []float32, list []contrib) {
 	}
 }
 
-// ---- public collectives ----
-
-// Broadcast distributes root's buf to every party's buf. The schedule is
-// the communicator's (ring and RHD, which are allreduce shapes, fall back
-// to the tree for a plain broadcast).
-func (ep *Endpoint) Broadcast(p *sim.Proc, round, root int, buf []float32) {
-	if d := ep.delegate(); d != nil {
-		d.Broadcast(p, round, ep.c.subRankOf(root), buf)
-		return
-	}
-	ep.c.checkBuf(buf)
-	ep.c.bcast(p, ep.rank, round, root, buf)
-}
-
-// BroadcastSize walks the same message schedule moving no data — for
-// cost-only experiments at sizes too large to materialize.
-func (ep *Endpoint) BroadcastSize(p *sim.Proc, round, root int) {
-	if d := ep.delegate(); d != nil {
-		d.BroadcastSize(p, round, ep.c.subRankOf(root))
-		return
-	}
-	ep.c.bcast(p, ep.rank, round, root, nil)
-}
-
-// Reduce combines every party's buf contribution at root: root's buf
-// becomes the rank-ordered elementwise sum (bit-identical to ReduceSum
-// over the parties in rank order); other parties' bufs are unchanged.
-func (ep *Endpoint) Reduce(p *sim.Proc, round, root int, buf []float32) {
-	if d := ep.delegate(); d != nil {
-		d.Reduce(p, round, ep.c.subRankOf(root), buf)
-		return
-	}
-	ep.c.checkBuf(buf)
-	ep.c.reduce(p, ep.rank, round, root, buf)
-}
-
-// ReduceSize is the size-only Reduce.
-func (ep *Endpoint) ReduceSize(p *sim.Proc, round, root int) {
-	if d := ep.delegate(); d != nil {
-		d.ReduceSize(p, round, ep.c.subRankOf(root))
-		return
-	}
-	ep.c.reduce(p, ep.rank, round, root, nil)
-}
-
-// AllReduce leaves every party's buf holding the rank-ordered sum of all
-// contributions, under the communicator's schedule.
-func (ep *Endpoint) AllReduce(p *sim.Proc, round int, buf []float32) {
-	if d := ep.delegate(); d != nil {
-		d.AllReduce(p, round, buf)
-		return
-	}
-	ep.c.checkBuf(buf)
-	ep.c.allReduce(p, ep.rank, round, buf)
-}
-
-// AllReduceSize is the size-only AllReduce.
-func (ep *Endpoint) AllReduceSize(p *sim.Proc, round int) {
-	if d := ep.delegate(); d != nil {
-		d.AllReduceSize(p, round)
-		return
-	}
-	ep.c.allReduce(p, ep.rank, round, nil)
-}
-
-// ---- bucketed (range) collectives ----
-//
-// The Range entry points are the streaming path's collectives: each moves
-// one [lo,hi) element subrange of the model vector — typically one
-// Bucketizer bucket — as a single message segment under the communicator's
-// schedule. Distinct concurrent calls must use distinct round numbers;
-// selective receive and per-key round barriers keep any number of rounds in
-// flight apart, which is what lets bucket k+1's collective overlap bucket
-// k's wire time and the tail of backprop. A nil buf walks the schedule
-// size-only. Unpacked plans pay their gather staging pro rata to the
-// range's bytes, so the staging total over all buckets equals the
-// monolithic collective's.
-
-// AllReduceRange allreduces buf[lo:hi]: every party ends with the
-// rank-ordered sum of the range's contributions, bit-identical to the same
-// range of a monolithic AllReduce.
-func (ep *Endpoint) AllReduceRange(p *sim.Proc, round int, buf []float32, lo, hi int) {
-	if d := ep.delegate(); d != nil {
-		d.AllReduceRange(p, round, buf, lo, hi)
-		return
-	}
-	ep.c.checkRange(buf, lo, hi)
-	c := ep.c
-	if len(c.parties) == 1 {
-		return
-	}
-	c.stageBytes(p, int64(hi-lo)*4)
-	c.allReduceSeg(p, ep.rank, round, 0, buf, [2]int{lo, hi})
-}
-
-// ReduceRange reduces buf[lo:hi] to root (rank-ordered sum at root, other
-// bufs unchanged).
-func (ep *Endpoint) ReduceRange(p *sim.Proc, round, root int, buf []float32, lo, hi int) {
-	if d := ep.delegate(); d != nil {
-		d.ReduceRange(p, round, ep.c.subRankOf(root), buf, lo, hi)
-		return
-	}
-	ep.c.checkRange(buf, lo, hi)
-	c := ep.c
-	if len(c.parties) == 1 {
-		return
-	}
-	c.stageBytes(p, int64(hi-lo)*4)
-	c.reduceSeg(p, ep.rank, round, 0, root, buf, [2]int{lo, hi})
-}
-
-// BroadcastRange distributes root's buf[lo:hi] to every party.
-func (ep *Endpoint) BroadcastRange(p *sim.Proc, round, root int, buf []float32, lo, hi int) {
-	if d := ep.delegate(); d != nil {
-		d.BroadcastRange(p, round, ep.c.subRankOf(root), buf, lo, hi)
-		return
-	}
-	ep.c.checkRange(buf, lo, hi)
-	c := ep.c
-	if len(c.parties) == 1 {
-		return
-	}
-	c.stageBytes(p, int64(hi-lo)*4)
-	c.bcastSeg(p, ep.rank, round, 0, root, buf, [2]int{lo, hi})
-}
-
-// ---- dispatch ----
-
-func (c *Communicator) bcast(p *sim.Proc, rank, round, root int, buf []float32) {
-	if len(c.parties) == 1 {
-		return
-	}
-	c.stage(p)
-	for si, seg := range c.segments() {
-		c.bcastSeg(p, rank, round, si, root, buf, seg)
-	}
-}
+// ---- per-segment dispatch (the flat engine behind an Endpoint) ----
 
 // bcastSeg runs one segment's broadcast under the schedule (ring and RHD,
 // which are allreduce shapes, fall back to the tree).
@@ -862,16 +646,6 @@ func (c *Communicator) bcastSeg(p *sim.Proc, rank, round, si, root int, buf []fl
 		c.chainBcast(p, rank, round, phBcast, si, root, buf, seg)
 	default:
 		c.treeBcast(p, rank, round, phBcast, si, root, buf, seg)
-	}
-}
-
-func (c *Communicator) reduce(p *sim.Proc, rank, round, root int, buf []float32) {
-	if len(c.parties) == 1 {
-		return
-	}
-	c.stage(p)
-	for si, seg := range c.segments() {
-		c.reduceSeg(p, rank, round, si, root, buf, seg)
 	}
 }
 
@@ -900,16 +674,6 @@ func (c *Communicator) gatherSeg(p *sim.Proc, rank, round, phase, si, root int, 
 		return c.chainGather(p, rank, round, phase, si, root, self, seg)
 	default:
 		return c.treeGather(p, rank, round, phase, si, root, self, seg)
-	}
-}
-
-func (c *Communicator) allReduce(p *sim.Proc, rank, round int, buf []float32) {
-	if len(c.parties) == 1 {
-		return
-	}
-	c.stage(p)
-	for si, seg := range c.segments() {
-		c.allReduceSeg(p, rank, round, si, buf, seg)
 	}
 }
 

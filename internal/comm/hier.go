@@ -6,9 +6,14 @@ import (
 	"scaledl/internal/sim"
 )
 
-// This file is the hierarchical (two-level) collective layer: collectives
+// This file is the hierarchical (two-level) collective engine: collectives
 // over nodes×GPUs parties on a composed topology (NewMultiLevel) that never
-// put every GPU on the fabric. HierAllReduce is the classic structure of
+// put every GPU on the fabric. It is an engine, not an API: a
+// HierCommunicator is a composition of flat Communicators (one per node plus
+// one over the leaders) that implements the same per-segment interface the
+// flat one does, and hands out the same Endpoint — so every collective form
+// in endpoint.go (payload, nil buffer = size-only, Range) runs two-level
+// with no code of its own here. The allreduce is the classic structure of
 // multi-node multi-GPU training (the paper's 16-node clusters, FireCaffe's
 // reduction trees, NCCL's intra/inter split):
 //
@@ -27,7 +32,7 @@ import (
 //     lists (tagged with *global* ranks) instead of partial sums, the
 //     inter phase carries whole lists through any schedule
 //     (allReduceListSeg), and the final combine runs in ascending global
-//     rank order — so HierAllReduce is bit-identical to ReduceSum over all
+//     rank order — so the allreduce is bit-identical to ReduceSum over all
 //     parties in rank order, for EVERY (intra, inter) schedule pair,
 //     including the Range/bucketed variants the streaming pipeline uses.
 //     Wire cost still charges one partial-sum-sized payload per message,
@@ -74,7 +79,6 @@ type HierConfig struct {
 type HierCommunicator struct {
 	topo     *Topology
 	cfg      HierConfig
-	plan     Plan
 	leaderOf []int // group index -> leader's local rank
 	intra    []*Communicator
 	inter    *Communicator
@@ -85,7 +89,7 @@ type HierCommunicator struct {
 	// the live membership, rebuilt from the original config at each death
 	// (so sub itself never has a sub); liveOf remaps global ranks into it.
 	dead   map[int]bool
-	sub    *HierCommunicator
+	sub    engine
 	liveOf []int
 }
 
@@ -102,7 +106,7 @@ func NewHierCommunicator(t *Topology, cfg HierConfig) *HierCommunicator {
 	if cfg.GroupTags != nil && len(cfg.GroupTags) != len(cfg.Groups) {
 		panic(fmt.Sprintf("comm: %d tag groups for %d groups", len(cfg.GroupTags), len(cfg.Groups)))
 	}
-	hc := &HierCommunicator{topo: t, cfg: cfg, plan: cfg.Plan}
+	hc := &HierCommunicator{topo: t, cfg: cfg}
 	var leaders, leaderTags []int
 	next := 0
 	for g, group := range cfg.Groups {
@@ -226,23 +230,8 @@ func (hc *HierCommunicator) MarkDead(rank int) {
 	})
 }
 
-// subRankOf maps an original global rank to its survivor-rebuild rank.
-func (hc *HierCommunicator) subRankOf(rank int) int {
-	sr := hc.liveOf[rank]
-	if sr < 0 {
-		panic(fmt.Sprintf("comm: dead rank %d used in a collective", rank))
-	}
-	return sr
-}
-
 // Size returns the total party count over all groups.
 func (hc *HierCommunicator) Size() int { return len(hc.groupOf) }
-
-// NumGroups returns the node-group count.
-func (hc *HierCommunicator) NumGroups() int { return len(hc.intra) }
-
-// Plan returns the shared message plan.
-func (hc *HierCommunicator) Plan() Plan { return hc.plan }
 
 // Intra returns group g's node-local communicator — the building block the
 // hierarchical EASGD algorithms drive directly for group-center syncs.
@@ -268,37 +257,17 @@ func (hc *HierCommunicator) LeaderRank(g int) int { return hc.rankOf[g][hc.leade
 // BytesMoved reports the underlying topology's cumulative wire bytes.
 func (hc *HierCommunicator) BytesMoved() int64 { return hc.inter.topo.BytesMoved() }
 
-// Endpoint returns global rank's handle.
-func (hc *HierCommunicator) Endpoint(rank int) *HierEndpoint {
-	if rank < 0 || rank >= hc.Size() {
-		panic(fmt.Sprintf("comm: endpoint %d of %d parties", rank, hc.Size()))
-	}
-	return &HierEndpoint{hc: hc, rank: rank}
-}
+// Endpoint returns global rank's handle — the same Endpoint a flat
+// communicator hands out, with this two-level composition as its engine.
+func (hc *HierCommunicator) Endpoint(rank int) *Endpoint { return newEndpoint(hc, rank) }
 
-// HierEndpoint is one party's handle into a HierCommunicator. It mirrors
-// Endpoint's collective surface (AllReduce / Broadcast / Reduce plus Size
-// and Range variants), so the streaming pipeline can drive hierarchical
-// collectives exactly as it drives flat ones.
-type HierEndpoint struct {
-	hc   *HierCommunicator
-	rank int
-}
+func (hc *HierCommunicator) msgPlan() Plan { return hc.cfg.Plan }
 
-// Rank returns the global party rank.
-func (ep *HierEndpoint) Rank() int { return ep.rank }
+func (hc *HierCommunicator) survivors() (engine, []int) { return hc.sub, hc.liveOf }
 
-// MarkDead declares global rank dead on the endpoint's communicator (see
-// HierCommunicator.MarkDead); every surviving party must call it.
-func (ep *HierEndpoint) MarkDead(rank int) { ep.hc.MarkDead(rank) }
-
-// delegate returns the survivor rebuild's endpoint for this party, or nil
-// while every party is alive.
-func (ep *HierEndpoint) delegate() *HierEndpoint {
-	if ep.hc.sub == nil {
-		return nil
-	}
-	return ep.hc.sub.Endpoint(ep.hc.subRankOf(ep.rank))
+// tagOf is a global rank's contribution tag: its intra communicator's.
+func (hc *HierCommunicator) tagOf(rank int) int {
+	return hc.intra[hc.groupOf[rank]].tagOf(hc.localOf[rank])
 }
 
 // phHand is the extra phase of the hierarchical root hand-off hops (a
@@ -306,148 +275,7 @@ func (ep *HierEndpoint) delegate() *HierEndpoint {
 // from — its group's leader).
 const phHand = 2
 
-// stage charges the unpacked plan's gather staging for n bytes (every party
-// concurrently), mirroring Communicator.stageBytes.
-func (hc *HierCommunicator) stageBytes(p *sim.Proc, n int64) {
-	if !hc.plan.Packed && hc.plan.GatherBW > 0 && len(hc.plan.LayerBytes) > 0 {
-		p.Delay(float64(n) / hc.plan.GatherBW)
-	}
-}
-
-func (hc *HierCommunicator) checkBuf(buf []float32) {
-	if buf != nil && int64(len(buf))*4 != hc.plan.TotalBytes() {
-		panic(fmt.Sprintf("comm: buffer of %d elements does not match plan of %d bytes",
-			len(buf), hc.plan.TotalBytes()))
-	}
-}
-
-func (hc *HierCommunicator) checkRange(buf []float32, lo, hi int) {
-	hc.checkBuf(buf)
-	if lo < 0 || hi < lo || int64(hi)*4 > hc.plan.TotalBytes() {
-		panic(fmt.Sprintf("comm: range [%d,%d) outside plan of %d bytes", lo, hi, hc.plan.TotalBytes()))
-	}
-}
-
-// ---- public collectives ----
-
-// AllReduce leaves every party's buf holding the rank-ordered sum of all
-// parties' contributions — bit-identical to the flat engine's AllReduce
-// (and to ReduceSum in rank order) for every (intra, inter) schedule pair.
-func (ep *HierEndpoint) AllReduce(p *sim.Proc, round int, buf []float32) {
-	if d := ep.delegate(); d != nil {
-		d.AllReduce(p, round, buf)
-		return
-	}
-	ep.hc.checkBuf(buf)
-	ep.hc.allReduce(p, ep.rank, round, buf)
-}
-
-// AllReduceSize walks the same message schedule moving no data.
-func (ep *HierEndpoint) AllReduceSize(p *sim.Proc, round int) {
-	if d := ep.delegate(); d != nil {
-		d.AllReduceSize(p, round)
-		return
-	}
-	ep.hc.allReduce(p, ep.rank, round, nil)
-}
-
-// AllReduceRange allreduces buf[lo:hi] as one segment — the streaming
-// pipeline's bucketed collective, hierarchical for free.
-func (ep *HierEndpoint) AllReduceRange(p *sim.Proc, round int, buf []float32, lo, hi int) {
-	if d := ep.delegate(); d != nil {
-		d.AllReduceRange(p, round, buf, lo, hi)
-		return
-	}
-	ep.hc.checkRange(buf, lo, hi)
-	if ep.hc.Size() == 1 {
-		return
-	}
-	ep.hc.stageBytes(p, int64(hi-lo)*4)
-	ep.hc.allReduceSeg(p, ep.rank, round, 0, buf, [2]int{lo, hi})
-}
-
-// Broadcast distributes root's buf to every party: the root hands its
-// payload to its group leader (free when the root is a leader), leaders
-// broadcast over the fabric, and every group fans out locally.
-func (ep *HierEndpoint) Broadcast(p *sim.Proc, round, root int, buf []float32) {
-	if d := ep.delegate(); d != nil {
-		d.Broadcast(p, round, ep.hc.subRankOf(root), buf)
-		return
-	}
-	ep.hc.checkBuf(buf)
-	ep.hc.bcast(p, ep.rank, round, root, buf)
-}
-
-// BroadcastSize is the size-only Broadcast.
-func (ep *HierEndpoint) BroadcastSize(p *sim.Proc, round, root int) {
-	if d := ep.delegate(); d != nil {
-		d.BroadcastSize(p, round, ep.hc.subRankOf(root))
-		return
-	}
-	ep.hc.bcast(p, ep.rank, round, root, nil)
-}
-
-// BroadcastRange distributes root's buf[lo:hi] as one segment.
-func (ep *HierEndpoint) BroadcastRange(p *sim.Proc, round, root int, buf []float32, lo, hi int) {
-	if d := ep.delegate(); d != nil {
-		d.BroadcastRange(p, round, ep.hc.subRankOf(root), buf, lo, hi)
-		return
-	}
-	ep.hc.checkRange(buf, lo, hi)
-	if ep.hc.Size() == 1 {
-		return
-	}
-	ep.hc.stageBytes(p, int64(hi-lo)*4)
-	ep.hc.bcastSeg(p, ep.rank, round, 0, root, buf, [2]int{lo, hi})
-}
-
-// Reduce combines every party's contribution at root (rank-ordered sum,
-// bit-identical to ReduceSum; other bufs unchanged): intra gathers to the
-// leaders, leaders gather over the fabric to the root's leader, which hands
-// the assembled list to a non-leader root.
-func (ep *HierEndpoint) Reduce(p *sim.Proc, round, root int, buf []float32) {
-	if d := ep.delegate(); d != nil {
-		d.Reduce(p, round, ep.hc.subRankOf(root), buf)
-		return
-	}
-	ep.hc.checkBuf(buf)
-	ep.hc.reduce(p, ep.rank, round, root, buf)
-}
-
-// ReduceSize is the size-only Reduce.
-func (ep *HierEndpoint) ReduceSize(p *sim.Proc, round, root int) {
-	if d := ep.delegate(); d != nil {
-		d.ReduceSize(p, round, ep.hc.subRankOf(root))
-		return
-	}
-	ep.hc.reduce(p, ep.rank, round, root, nil)
-}
-
-// ReduceRange reduces buf[lo:hi] to root as one segment.
-func (ep *HierEndpoint) ReduceRange(p *sim.Proc, round, root int, buf []float32, lo, hi int) {
-	if d := ep.delegate(); d != nil {
-		d.ReduceRange(p, round, ep.hc.subRankOf(root), buf, lo, hi)
-		return
-	}
-	ep.hc.checkRange(buf, lo, hi)
-	if ep.hc.Size() == 1 {
-		return
-	}
-	ep.hc.stageBytes(p, int64(hi-lo)*4)
-	ep.hc.reduceSeg(p, ep.rank, round, 0, root, buf, [2]int{lo, hi})
-}
-
-// ---- dispatch ----
-
-func (hc *HierCommunicator) allReduce(p *sim.Proc, rank, round int, buf []float32) {
-	if hc.Size() == 1 {
-		return
-	}
-	hc.stageBytes(p, hc.plan.TotalBytes())
-	for si, seg := range planSegments(hc.plan) {
-		hc.allReduceSeg(p, rank, round, si, buf, seg)
-	}
-}
+// ---- per-segment composition (the hierarchical engine behind an Endpoint) ----
 
 // allReduceSeg runs one segment's two-level allreduce: intra gather to the
 // leader, inter allreduce of the gathered lists among leaders, intra
@@ -464,16 +292,9 @@ func (hc *HierCommunicator) allReduceSeg(p *sim.Proc, rank, round, si int, buf [
 	ic.bcastSeg(p, local, round, si, lead, buf, seg)
 }
 
-func (hc *HierCommunicator) bcast(p *sim.Proc, rank, round, root int, buf []float32) {
-	if hc.Size() == 1 {
-		return
-	}
-	hc.stageBytes(p, hc.plan.TotalBytes())
-	for si, seg := range planSegments(hc.plan) {
-		hc.bcastSeg(p, rank, round, si, root, buf, seg)
-	}
-}
-
+// bcastSeg runs one segment's two-level broadcast: a non-leader root hands
+// the segment to its group's leader (free when the root is a leader), leaders
+// broadcast over the fabric, and every group fans out locally.
 func (hc *HierCommunicator) bcastSeg(p *sim.Proc, rank, round, si, root int, buf []float32, seg [2]int) {
 	g, local := hc.groupOf[rank], hc.localOf[rank]
 	lead := hc.leaderOf[g]
@@ -505,16 +326,9 @@ func (hc *HierCommunicator) bcastSeg(p *sim.Proc, rank, round, si, root int, buf
 	ic.bcastSeg(p, local, round, si, lead, buf, seg)
 }
 
-func (hc *HierCommunicator) reduce(p *sim.Proc, rank, round, root int, buf []float32) {
-	if hc.Size() == 1 {
-		return
-	}
-	hc.stageBytes(p, hc.plan.TotalBytes())
-	for si, seg := range planSegments(hc.plan) {
-		hc.reduceSeg(p, rank, round, si, root, buf, seg)
-	}
-}
-
+// reduceSeg runs one segment's two-level reduction: intra gathers to the
+// leaders, leaders gather over the fabric to the root's leader, which hands
+// the assembled list to a non-leader root.
 func (hc *HierCommunicator) reduceSeg(p *sim.Proc, rank, round, si, root int, buf []float32, seg [2]int) {
 	g, local := hc.groupOf[rank], hc.localOf[rank]
 	lead := hc.leaderOf[g]

@@ -103,35 +103,32 @@ func factorPatternIsRing(s Schedule, p int) bool {
 // non-nil, provides reusable backing for the returned slice. Concurrent
 // calls must use distinct round numbers, like every other collective.
 func (ep *Endpoint) FactorAllGather(p *sim.Proc, round int, self Factors, out []Factors) []Factors {
-	if d := ep.delegate(); d != nil {
-		return d.FactorAllGather(p, round, self, out)
-	}
 	checkFactors(self)
-	c := ep.c
-	snap := snapFactors(c.tagOf(ep.rank), self)
-	return c.factorAllGatherList(p, ep.rank, round, []Factors{snap}, snap.Elems(), false, out)
+	e, rank, _ := ep.live(0, false)
+	snap := snapFactors(e.tagOf(rank), self)
+	return e.factorAllGather(p, rank, round, []Factors{snap}, snap.Elems(), out)
 }
 
 // FactorAllGatherSize walks the same message schedule moving no data, with
 // every party contributing elemsPerParty factor elements — the cost-only
-// path for scales too large to materialize.
+// path for scales too large to materialize. Flat endpoints only: the
+// hierarchical engine has no size-only factor path and panics.
 func (ep *Endpoint) FactorAllGatherSize(p *sim.Proc, round, elemsPerParty int) {
-	if d := ep.delegate(); d != nil {
-		d.FactorAllGatherSize(p, round, elemsPerParty)
-		return
-	}
-	ep.c.factorAllGatherList(p, ep.rank, round, nil, elemsPerParty, true, nil)
+	e, rank, _ := ep.live(0, false)
+	e.factorAllGather(p, rank, round, nil, elemsPerParty, nil)
 }
 
-// factorAllGatherList is the engine: an allgather whose per-party input is a
+// factorAllGather is the flat engine: an allgather whose per-party input is a
 // factor *list* (one entry flat; a node's gathered entries hierarchically).
-// Every party returns the union of all lists, ascending by Rank. sizeOnly
-// charges wire as if each party contributed elems factor elements.
-func (c *Communicator) factorAllGatherList(p *sim.Proc, rank, round int, self []Factors, elems int, sizeOnly bool, out []Factors) []Factors {
+// Every party returns the union of all lists, ascending by Rank. A nil self
+// is size-only: wire is charged as if each party contributed elems factor
+// elements.
+func (c *Communicator) factorAllGather(p *sim.Proc, rank, round int, self []Factors, elems int, out []Factors) []Factors {
 	P := len(c.parties)
 	if P == 1 {
 		return append(out[:0], self...)
 	}
+	sizeOnly := self == nil
 	if factorPatternIsRing(c.sched, P) {
 		return c.factorRingAllGather(p, rank, round, self, elems, sizeOnly, out)
 	}
@@ -204,27 +201,20 @@ func (c *Communicator) factorRDAllGather(p *sim.Proc, rank, round int, self []Fa
 
 // ---- hierarchical composition ----
 
-// FactorAllGather is the two-level factor allgather: each group's entries
-// gather at its leader (binomial pattern, factor-sized messages), leaders
-// allgather the group lists over the fabric, and the full P-entry list fans
-// back out locally — so every party returns all parties' factors in
-// ascending global-rank order, never putting every GPU on the fabric.
-func (ep *HierEndpoint) FactorAllGather(p *sim.Proc, round int, self Factors, out []Factors) []Factors {
-	if d := ep.delegate(); d != nil {
-		return d.FactorAllGather(p, round, self, out)
+// factorAllGather is the two-level engine: each group's entries gather at its
+// leader (binomial pattern, factor-sized messages), leaders allgather the
+// group lists over the fabric, and the full P-entry list fans back out
+// locally — so every party returns all parties' factors in ascending
+// global-rank order, never putting every GPU on the fabric.
+func (hc *HierCommunicator) factorAllGather(p *sim.Proc, rank, round int, self []Factors, elems int, out []Factors) []Factors {
+	if self == nil {
+		panic("comm: FactorAllGatherSize on a hierarchical endpoint: the two-level factor allgather has no size-only path")
 	}
-	checkFactors(self)
-	hc := ep.hc
-	g, local := hc.groupOf[ep.rank], hc.localOf[ep.rank]
-	ic := hc.intra[g]
-	snap := snapFactors(ic.tagOf(local), self)
-	if hc.Size() == 1 {
-		return append(out[:0], snap)
-	}
-	lead := hc.leaderOf[g]
-	list := ic.factorGather(p, local, round, lead, []Factors{snap})
+	g, local := hc.groupOf[rank], hc.localOf[rank]
+	ic, lead := hc.intra[g], hc.leaderOf[g]
+	list := ic.factorGather(p, local, round, lead, self)
 	if local == lead {
-		list = hc.inter.factorAllGatherList(p, g, round, list, 0, false, out)
+		list = hc.inter.factorAllGather(p, g, round, list, 0, out)
 	}
 	list = ic.factorBcast(p, local, round, lead, list)
 	sortFactors(list)
@@ -332,25 +322,12 @@ func ReconstructFactors(dst []float32, factors []Factors, scratch []float32) []f
 	return scratch
 }
 
-// FactorReconFLOPs is the reconstruction's multiply-add cost: one B×F·D
-// GEMM (2·B·F·D) plus the bias column sums per entry — what the virtual
-// clock charges a receiver for turning factors back into gradients.
-func FactorReconFLOPs(factors []Factors) int64 {
-	var t int64
-	for _, f := range factors {
-		t += factorReconFLOPsOne(f.B, f.F, f.D)
-	}
-	return t
-}
-
-// FactorReconFLOPsFor is the shape-form of FactorReconFLOPs for p parties —
-// the selector's cost-model term.
+// FactorReconFLOPsFor is the reconstruction's multiply-add cost for p
+// parties' factors of one shape: per entry one B×F·D GEMM (2·B·F·D) plus the
+// bias column sums — what the virtual clock charges a receiver for turning
+// factors back into gradients, and the selector's cost-model term.
 func FactorReconFLOPsFor(p, b, f, d int) int64 {
-	return int64(p) * factorReconFLOPsOne(b, f, d)
-}
-
-func factorReconFLOPsOne(b, f, d int) int64 {
-	return 2*int64(b)*int64(f)*int64(d) + int64(b)*int64(f)
+	return int64(p) * (2*int64(b)*int64(f)*int64(d) + int64(b)*int64(f))
 }
 
 // DenseAllReduceBytes is the exact total wire a dense fp32 allreduce of

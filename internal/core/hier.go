@@ -88,12 +88,8 @@ func HierSyncSGD(cfg Config) (Result, error) {
 	ml, hc := hierSetup(rc, env, plan, wire, true)
 	topo := ml.Topology()
 	rc.installChaos(topo, nil) // BadLinks rejected above; no rank→node map needed
-	eps := make([]gradAllReducer, cfg.Workers)
-	for i := range eps {
-		eps[i] = hc.Endpoint(i)
-	}
 	rootNode := ml.GlobalID(0, 0)
-	end := rc.runSyncSGDWorkers(env, plan, eps, quantizers, topo.BytesMoved,
+	end := rc.runSyncSGDWorkers(env, plan, commEndpoints(cfg.Workers, hc.Endpoint), quantizers, topo.BytesMoved,
 		func() float64 { return topo.RetryWait(rootNode) })
 	return rc.finish("hier-sync-sgd", end), nil
 }

@@ -200,4 +200,8 @@ func (ep partialEndpoint) AllReduceRange(p *sim.Proc, round int, buf []float32, 
 	panic("core: partial aggregation does not stream (PartialK is incompatible with Overlap)")
 }
 
+func (ep partialEndpoint) FactorAllGather(p *sim.Proc, round int, self comm.Factors, out []comm.Factors) []comm.Factors {
+	panic("core: partial aggregation does not gather factors (PartialK is incompatible with the sfb/hybrid comm modes)")
+}
+
 func (ep partialEndpoint) MarkDead(rank int) { ep.pa.markDead(rank) }

@@ -55,10 +55,6 @@ func SyncEASGD3(cfg Config) (Result, error) {
 	return runSyncEASGD(cfg, "sync-easgd3", syncOpts{master: masterGPU, overlap: true})
 }
 
-// SyncEASGD is an alias for SyncEASGD3; Figures 6.4 and 8 plot "Sync
-// EASGD" meaning the EASGD3 implementation (§5.1).
-func SyncEASGD(cfg Config) (Result, error) { return SyncEASGD3(cfg) }
-
 type masterKind int
 
 const (
@@ -228,24 +224,30 @@ func runSyncEASGD(cfg Config, name string, opt syncOpts) (Result, error) {
 	return rc.finish(name, end), nil
 }
 
-// gradAllReducer is the collective surface the data-parallel SGD loop
-// drives: a flat comm.Endpoint, a hierarchical comm.HierEndpoint, or the
-// partial-aggregation endpoint — the worker loop is identical either way,
-// which is what makes the hierarchical variant bit-identical to the flat
-// one by construction. MarkDead declares a rank fail-stopped: subsequent
-// collectives re-form over the survivors (shrunken contribution lists,
-// rebuilt schedules) instead of deadlocking on the missing party.
+// gradAllReducer is the exchange surface the data-parallel SGD loop drives:
+// a comm.Endpoint — the one handle type flat and hierarchical communicators
+// both hand out, so hierarchy is an engine choice the loop never sees and
+// the hierarchical variant is bit-identical to the flat one by construction
+// — or the partial-aggregation endpoint, a genuinely different exchange
+// (which streams neither ranges nor factors; Validate rejects those combos).
+// MarkDead declares a rank fail-stopped: subsequent collectives re-form over
+// the survivors (shrunken contribution lists, rebuilt schedules) instead of
+// deadlocking on the missing party.
 type gradAllReducer interface {
 	AllReduce(p *sim.Proc, round int, buf []float32)
 	AllReduceRange(p *sim.Proc, round int, buf []float32, lo, hi int)
+	FactorAllGather(p *sim.Proc, round int, self comm.Factors, out []comm.Factors) []comm.Factors
 	MarkDead(rank int)
 }
 
-// factorAllGatherer is the additional collective surface the sfb/hybrid
-// comm modes need: the flat and hierarchical endpoints both provide it;
-// the partial-aggregation endpoint does not (Validate rejects that combo).
-type factorAllGatherer interface {
-	FactorAllGather(p *sim.Proc, round int, self comm.Factors, out []comm.Factors) []comm.Factors
+// commEndpoints collects a flat or hierarchical communicator's per-rank
+// handles for the worker loop.
+func commEndpoints(n int, endpoint func(rank int) *comm.Endpoint) []gradAllReducer {
+	eps := make([]gradAllReducer, n)
+	for i := range eps {
+		eps[i] = endpoint(i)
+	}
+	return eps
 }
 
 // syncSGDWire prepares the gradient message plan of a data-parallel run:
@@ -298,13 +300,9 @@ func SyncSGD(cfg Config) (Result, error) {
 	if cfg.Faults.PartialK > 0 {
 		eps = newPartialAgg(rc, topo, wire).endpoints()
 	} else {
-		cm := comm.NewCommunicator(topo, comm.CommConfig{
+		eps = commEndpoints(cfg.Workers, comm.NewCommunicator(topo, comm.CommConfig{
 			Parties: comm.Ranks(cfg.Workers), Plan: plan, Schedule: cfg.Schedule, Wire: wire,
-		})
-		eps = make([]gradAllReducer, cfg.Workers)
-		for i := range eps {
-			eps[i] = cm.Endpoint(i)
-		}
+		}).Endpoint)
 	}
 	end := rc.runSyncSGDWorkers(env, plan, eps, quantizers, topo.BytesMoved,
 		func() float64 { return topo.RetryWait(0) })
@@ -325,21 +323,11 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 	// order, so every path below ends with gradients bit-identical to the
 	// dense allreduce.
 	hy := rc.hybridRun(plan)
-	var stream *streamPlan
-	var fgs []factorAllGatherer
+	var skip []bool
 	if hy != nil {
-		stream = rc.newStreamMasked(plan, hy.skip)
-		fgs = make([]factorAllGatherer, len(eps))
-		for i, ep := range eps {
-			fg, ok := ep.(factorAllGatherer)
-			if !ok {
-				panic(fmt.Sprintf("core: comm mode %v endpoint %T cannot gather factors", cfg.CommMode, ep))
-			}
-			fgs[i] = fg
-		}
-	} else {
-		stream = rc.newStream(plan)
+		skip = hy.skip
 	}
+	stream := rc.newStreamMasked(plan, skip)
 	nb := stream.bz.NumBuckets()
 	// Collective rounds consumed per iteration, so round numbers never
 	// collide across an iteration's buckets, dense runs and factor
@@ -444,7 +432,7 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 							k := hy.bySeg[seg]
 							self := comm.Factors{DY: e.DY, X: e.X, B: e.B, F: e.F, D: e.D}
 							crew.fork(fmt.Sprintf("fg%d.%d.%d", i, t, k), func(bp *sim.Proc) {
-								hy.outs[i][k] = fgs[i].FactorAllGather(bp, t*perIterOverlap+nb+k, self, hy.outs[i][k])
+								hy.outs[i][k] = ep.FactorAllGather(bp, t*perIterOverlap+nb+k, self, hy.outs[i][k])
 							})
 						}
 					}
@@ -508,7 +496,7 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 						for k, sg := range hy.segs {
 							dy, x, fb, ff, fd := w.net.Layers[sg.layer].(nn.FactorLayer).BackwardFactors()
 							self := comm.Factors{DY: dy, X: x, B: fb, F: ff, D: fd}
-							hy.outs[i][k] = fgs[i].FactorAllGather(p, base+nd+k, self, hy.outs[i][k])
+							hy.outs[i][k] = ep.FactorAllGather(p, base+nd+k, self, hy.outs[i][k])
 							hy.scratch[i] = comm.ReconstructFactors(gbufs[i][sg.lo:sg.hi], hy.outs[i][k], hy.scratch[i])
 						}
 						p.Delay(hy.reconTime)
