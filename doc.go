@@ -58,7 +58,13 @@
 //     closed-form α-β cost functions remain as the analytic oracle: on
 //     contention-free topologies the simulated collectives match them to
 //     1e-9, and reduced values are bit-identical to comm.ReduceSum for
-//     every schedule. A party drives all of it through one handle,
+//     every schedule. Payloads are borrowed, not copied: a collective
+//     moves views of its callers' buffers, and when it returns on a rank
+//     no other rank still references that rank's buffer — by ordering
+//     (lenders stay blocked until their bytes are consumed), not by
+//     snapshotting. Only the eager chain schedule, the hierarchical
+//     rooted Reduce and sufficient-factor payloads, which have no such
+//     ordering, send copies. A party drives all of it through one handle,
 //     comm.Endpoint: each collective comes in payload, size-only (…Size,
 //     or simply a nil buffer) and bucketed …Range form, all executed by
 //     one runner;
@@ -87,8 +93,9 @@
 //     backward walk emits per-layer gradient-ready events
 //     (nn.Net.LossAndGradStream), a comm.Bucketizer coalesces ready layers
 //     into ~Config.BucketBytes buckets along plan-segment boundaries, and
-//     per-bucket Range collectives run as distinct in-flight rounds — so
-//     with Config.Overlap on, communication hides under the tail of
+//     per-bucket Range collectives run as distinct in-flight rounds, in
+//     place on the replica's packed gradient buffer — so with
+//     Config.Overlap on, communication hides under the tail of
 //     backprop as a consequence of the dependency structure, with only the
 //     exposed share charged to the time breakdown (Breakdown.HiddenComm
 //     reports the hidden share) and gradient math bit-identical to the

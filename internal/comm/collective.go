@@ -37,6 +37,28 @@ import (
 //     results independent of the schedule choice. Wire cost still charges
 //     one partial-sum-sized payload per message, exactly like the real
 //     algorithm the timing models.
+//
+// And one contract ties it to its callers — buffer reuse, with MPI's
+// semantics: a payload is a borrowed view of the caller's buffer, and when a
+// collective returns on a rank no other rank holds a reference into that
+// rank's buffer. Contribution lists and broadcast sends alias buf[lo:hi];
+// nothing is copied on the way. What makes that safe is ordering, not
+// ownership: a lender stays blocked inside its own call until every reader
+// of its bytes is done. In an allreduce the lender waits in the broadcast
+// phase of the same call for a result that exists only after the sum; every
+// tree, ring, RHD and linear round ends in a barrier the receiver reaches
+// only after copying out; a rooted Reduce has its root combine before the
+// root's final arrival at the gather's last barrier, which is what releases
+// the lenders; the combining party — whose own contribution is its
+// destination — sums into one communicator-owned scratch (exactly one
+// simulated process runs at a time and the sum never yields). Where nothing
+// orders a lender behind its readers the engine copies instead, and says so
+// at the site: the eager chain schedule has no barrier between a send and
+// the sender's return, so it copies each chunk it sends into buffers
+// recycled through the communicator's free list; the hierarchical rooted
+// reduction (hier.go) and factor payloads (sfb.go) are the other two.
+// TestBufferReuseContract runs every form on every engine, fault-free and
+// under message loss.
 
 // Schedule selects the message pattern of a collective.
 type Schedule int
@@ -206,6 +228,8 @@ type Communicator struct {
 	tags    []int
 	bars    map[collKey]*sim.Barrier
 	msgPool []*collMsg
+	sumBuf  []float32 // orderedSum's accumulator
+	free    bufPool   // recycled chunk copies of the eager chain schedule
 	// Survivor state (MarkDead). sub, once a party dies, is a fresh
 	// communicator over the live membership; every collective delegates to
 	// it with ranks remapped through liveOf, so schedules re-form over the
@@ -582,28 +606,46 @@ func (c *Communicator) realOf(vr, root int) int {
 	return (vr + root) % p
 }
 
-func snapshot(v []float32) []float32 { return append([]float32(nil), v...) }
+// bufPool is a free list of float32 buffers for the few payloads that cannot
+// be borrowed and must be copied (see the buffer-reuse contract above).
+type bufPool [][]float32
 
-// selfContrib builds a party's initial contribution list for one segment:
-// its own tagged snapshot, or nil in size-only mode.
+// snapshot copies v into a recycled buffer, allocating only when none on the
+// list is large enough.
+func (bp *bufPool) snapshot(v []float32) []float32 {
+	l := *bp
+	for i := len(l) - 1; i >= 0; i-- {
+		if b := l[i]; cap(b) >= len(v) {
+			l[i] = l[len(l)-1]
+			*bp = l[:len(l)-1]
+			b = b[:len(v)]
+			copy(b, v)
+			return b
+		}
+	}
+	return append([]float32(nil), v...)
+}
+
+// release returns a snapshot to the list once its last reader is done.
+func (bp *bufPool) release(b []float32) { *bp = append(*bp, b) }
+
+// selfContrib builds a party's initial contribution list for one segment: a
+// tagged view of its buffer (borrowed, not copied), or nil in size-only mode.
 func (c *Communicator) selfContrib(rank int, buf []float32, seg [2]int) []contrib {
 	if buf == nil {
 		return nil
 	}
-	return []contrib{{rank: c.tagOf(rank), vals: snapshot(buf[seg[0]:seg[1]])}}
+	return []contrib{{rank: c.tagOf(rank), vals: buf[seg[0]:seg[1]]}}
 }
 
-// clipContribs restricts every contribution of a [seg]-covering list to the
-// subrange ch (no copying: the clipped values alias the originals).
-func clipContribs(list []contrib, seg, ch [2]int) []contrib {
-	if list == nil {
-		return nil
+// clipContribs appends to dst every contribution of a [seg]-covering list
+// restricted to the subrange ch (no copying: the clipped values alias the
+// originals). A nil list appends nothing, so size-only lists stay nil.
+func clipContribs(dst, list []contrib, seg, ch [2]int) []contrib {
+	for _, cb := range list {
+		dst = append(dst, contrib{rank: cb.rank, vals: cb.vals[ch[0]-seg[0] : ch[1]-seg[0]]})
 	}
-	out := make([]contrib, len(list))
-	for i, cb := range list {
-		out[i] = contrib{rank: cb.rank, vals: cb.vals[ch[0]-seg[0] : ch[1]-seg[0]]}
-	}
-	return out
+	return dst
 }
 
 // mergeContribs merges two rank-sorted contribution lists.
@@ -625,13 +667,20 @@ func mergeContribs(a, b []contrib) []contrib {
 
 // orderedSum overwrites dst with the rank-ordered sum of the contributions
 // — the exact association order of ReduceSum over rank-ascending inputs.
-func orderedSum(dst []float32, list []contrib) {
-	for i := range dst {
-		dst[i] = 0
+// dst is the combining party's own buffer, which one of the contributions
+// aliases, so the sum accumulates from zero in the communicator's scratch and
+// is copied out (starting from dst's own values instead would turn an
+// all-(−0) element into −0 where ReduceSum's 0 + (−0) gives +0).
+func (c *Communicator) orderedSum(dst []float32, list []contrib) {
+	if cap(c.sumBuf) < len(dst) {
+		c.sumBuf = make([]float32, len(dst))
 	}
+	acc := c.sumBuf[:len(dst)]
+	clear(acc)
 	for _, cb := range list {
-		tensor.AXPY(1, cb.vals, dst)
+		tensor.AXPY(1, cb.vals, acc)
 	}
+	copy(dst, acc)
 }
 
 // ---- per-segment dispatch (the flat engine behind an Endpoint) ----
@@ -651,11 +700,17 @@ func (c *Communicator) bcastSeg(p *sim.Proc, rank, round, si, root int, buf []fl
 
 // reduceSeg runs one segment's reduction toward root under the schedule.
 func (c *Communicator) reduceSeg(p *sim.Proc, rank, round, si, root int, buf []float32, seg [2]int) {
-	self := c.selfContrib(rank, buf, seg)
-	list := c.gatherSeg(p, rank, round, phReduce, si, root, self, seg)
+	c.reduceListSeg(p, rank, round, si, root, c.selfContrib(rank, buf, seg), buf, seg)
+}
+
+// reduceListSeg gathers the parties' contribution lists toward root, whose
+// buf range ends holding their rank-ordered sum.
+func (c *Communicator) reduceListSeg(p *sim.Proc, rank, round, si, root int, self []contrib, buf []float32, seg [2]int) {
+	var dst []float32
 	if rank == root && buf != nil {
-		orderedSum(buf[seg[0]:seg[1]], list)
+		dst = buf[seg[0]:seg[1]]
 	}
+	c.gatherSeg(p, rank, round, phReduce, si, root, self, seg, dst)
 }
 
 // gatherSeg runs one segment's reduction-shaped gather toward root under the
@@ -666,14 +721,28 @@ func (c *Communicator) reduceSeg(p *sim.Proc, rank, round, si, root int, buf []f
 // the half-collective the hierarchical composition needs: an intra-node
 // gather hands the node's contributions to its leader, who feeds them, still
 // rank-tagged, into the inter-node allreduce.
-func (c *Communicator) gatherSeg(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int) []contrib {
+//
+// A non-nil dst (root only) makes it a reduction: root overwrites dst with
+// the list's ordered sum the moment the list is complete — under the
+// round-synchronized schedules that is before root's final arrival at the
+// last round barrier, so the other parties, whose borrowed buffers the list
+// aliases, cannot leave the collective before their bytes are consumed.
+func (c *Communicator) gatherSeg(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int, dst []float32) []contrib {
+	if len(c.parties) == 1 {
+		// A lone party (a single-node cluster's leader): no message will
+		// ever complete the list — it already is.
+		if dst != nil {
+			c.orderedSum(dst, self)
+		}
+		return self
+	}
 	switch c.sched {
 	case ScheduleLinear:
-		return c.linearGather(p, rank, round, phase, si, root, self, seg)
+		return c.linearGather(p, rank, round, phase, si, root, self, seg, dst)
 	case ScheduleChain:
-		return c.chainGather(p, rank, round, phase, si, root, self, seg)
+		return c.chainGather(p, rank, round, phase, si, root, self, seg, dst)
 	default:
-		return c.treeGather(p, rank, round, phase, si, root, self, seg)
+		return c.treeGather(p, rank, round, phase, si, root, self, seg, dst)
 	}
 }
 
@@ -683,7 +752,7 @@ func (c *Communicator) allReduceSeg(p *sim.Proc, rank, round, si int, buf []floa
 }
 
 // allReduceListSeg runs one segment's allreduce where each party's input is
-// a whole contribution *list* (self) rather than a single buffer snapshot:
+// a whole contribution *list* (self) rather than a single buffer view:
 // every party's buf range ends holding the rank-ordered sum of the union of
 // all lists. With the default single-contribution self this is exactly the
 // flat allreduce; the hierarchical inter-node phase passes each leader its
@@ -697,24 +766,9 @@ func (c *Communicator) allReduceListSeg(p *sim.Proc, rank, round, si int, self [
 		c.ringAllReduce(p, rank, round, si, self, buf, seg)
 	case c.sched == ScheduleRHD && pow2:
 		c.rhdAllReduce(p, rank, round, si, self, buf, seg)
-	case c.sched == ScheduleChain:
-		list := c.chainGather(p, rank, round, phReduce, si, 0, self, seg)
-		if rank == 0 && buf != nil {
-			orderedSum(buf[seg[0]:seg[1]], list)
-		}
-		c.chainBcast(p, rank, round, phBcast, si, 0, buf, seg)
-	case c.sched == ScheduleLinear:
-		list := c.linearGather(p, rank, round, phReduce, si, 0, self, seg)
-		if rank == 0 && buf != nil {
-			orderedSum(buf[seg[0]:seg[1]], list)
-		}
-		c.linearBcast(p, rank, round, phBcast, si, 0, buf, seg)
-	default: // tree, and RHD's non-power-of-two fallback
-		list := c.treeGather(p, rank, round, phReduce, si, 0, self, seg)
-		if rank == 0 && buf != nil {
-			orderedSum(buf[seg[0]:seg[1]], list)
-		}
-		c.treeBcast(p, rank, round, phBcast, si, 0, buf, seg)
+	default: // tree, chain, linear, and RHD's non-power-of-two tree fallback
+		c.reduceListSeg(p, rank, round, si, 0, self, buf, seg)
+		c.bcastSeg(p, rank, round, si, 0, buf, seg)
 	}
 }
 
@@ -739,7 +793,7 @@ func (c *Communicator) treeBcast(p *sim.Proc, rank, round, phase, si, root int, 
 				c.syncRounds(p, base, synced, r, R)
 				var data []float32
 				if buf != nil {
-					data = snapshot(buf[seg[0]:seg[1]])
+					data = buf[seg[0]:seg[1]]
 				}
 				c.send(p, rank, c.realOf(partner, root), collMsg{key: key, data: data}, c.wireOf(elems))
 				acted = true
@@ -763,8 +817,8 @@ func (c *Communicator) treeBcast(p *sim.Proc, rank, round, phase, si, root int, 
 // treeGather runs the binomial reduction pattern toward root, carrying
 // rank-sorted contribution lists unmerged; root returns the full list (the
 // combine order of ReduceSum), everyone else nil. self is this party's
-// initial list (nil = size-only).
-func (c *Communicator) treeGather(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int) []contrib {
+// initial list (nil = size-only); dst is gatherSeg's.
+func (c *Communicator) treeGather(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int, dst []float32) []contrib {
 	P := len(c.parties)
 	vr := c.vrOf(rank, root)
 	R := rounds(P)
@@ -787,6 +841,12 @@ func (c *Communicator) treeGather(p *sim.Proc, rank, round, phase, si, root int,
 				c.syncRounds(p, base, synced, r, R)
 				m := c.recv(p, rank, c.realOf(partner, root), key)
 				list = mergeContribs(list, m.contribs)
+				if dst != nil && r == R-1 {
+					// Only root receives in the last round: its list is
+					// complete, and every lender is still held at this
+					// round's barrier.
+					c.orderedSum(dst, list)
+				}
 				acted = true
 			}
 			if acted {
@@ -815,7 +875,7 @@ func (c *Communicator) linearBcast(p *sim.Proc, rank, round, phase, si, root int
 		if vr == 0 {
 			var data []float32
 			if buf != nil {
-				data = snapshot(buf[seg[0]:seg[1]])
+				data = buf[seg[0]:seg[1]]
 			}
 			c.send(p, rank, c.realOf(s, root), collMsg{key: key, data: data}, c.wireOf(elems))
 		} else if vr == s {
@@ -829,8 +889,8 @@ func (c *Communicator) linearBcast(p *sim.Proc, rank, round, phase, si, root int
 }
 
 // linearGather receives one party's contribution list per synchronized step;
-// root returns the merged list, everyone else nil.
-func (c *Communicator) linearGather(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int) []contrib {
+// root returns the merged list, everyone else nil. dst is gatherSeg's.
+func (c *Communicator) linearGather(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int, dst []float32) []contrib {
 	P := len(c.parties)
 	vr := c.vrOf(rank, root)
 	elems := seg[1] - seg[0]
@@ -842,6 +902,9 @@ func (c *Communicator) linearGather(p *sim.Proc, rank, round, phase, si, root in
 		} else if vr == 0 {
 			m := c.recv(p, rank, c.realOf(s, root), key)
 			list = mergeContribs(list, m.contribs)
+			if dst != nil && s == P-1 {
+				c.orderedSum(dst, list) // complete; lenders still held at this step's barrier
+			}
 		}
 		c.sync(p, key)
 	}
@@ -887,8 +950,11 @@ func (c *Communicator) ringAllReduce(p *sim.Proc, rank, round, si int, self []co
 
 	lists := make([][]contrib, P)
 	if self != nil {
+		clipped := make([]contrib, 0, P*len(self)) // one backing array for all P chunk lists
 		for i, ch := range chunks {
-			lists[i] = clipContribs(self, seg, ch)
+			n := len(clipped)
+			clipped = clipContribs(clipped, self, seg, ch)
+			lists[i] = clipped[n:len(clipped):len(clipped)]
 		}
 	}
 	// Reduce-scatter: at step s, rank r forwards chunk (r−s)'s accumulated
@@ -908,7 +974,7 @@ func (c *Communicator) ringAllReduce(p *sim.Proc, rank, round, si int, self []co
 	}
 	if buf != nil {
 		own := chunks[rank]
-		orderedSum(buf[own[0]:own[1]], lists[rank])
+		c.orderedSum(buf[own[0]:own[1]], lists[rank])
 	}
 	// Allgather: summed chunks travel the ring once more.
 	for s := 1; s < P; s++ {
@@ -917,7 +983,7 @@ func (c *Communicator) ringAllReduce(p *sim.Proc, rank, round, si int, self []co
 		cr := mod(rank - s)
 		var data []float32
 		if buf != nil {
-			data = snapshot(buf[chunks[cs][0]:chunks[cs][1]])
+			data = buf[chunks[cs][0]:chunks[cs][1]]
 		}
 		c.send(p, rank, next, collMsg{key: key, data: data},
 			c.wireOf(chunks[cs][1]-chunks[cs][0]))
@@ -941,15 +1007,7 @@ func (c *Communicator) rhdAllReduce(p *sim.Proc, rank, round, si int, self []con
 	P := len(c.parties)
 	lo, hi := seg[0], seg[1]
 	list := self
-	// restrict clips a contribution list to [nlo, nhi), given the list
-	// currently covers [lo, hi).
-	restrict := func(list []contrib, lo, nlo, nhi int) []contrib {
-		out := make([]contrib, len(list))
-		for i, cb := range list {
-			out[i] = contrib{rank: cb.rank, vals: cb.vals[nlo-lo : nhi-lo]}
-		}
-		return out
-	}
+	var kept []contrib // the half this party keeps, re-clipped in place each step
 
 	type span struct{ lo, hi int }
 	var trail []span // range at entry of each halving step, for the doubling phase
@@ -964,14 +1022,12 @@ func (c *Communicator) rhdAllReduce(p *sim.Proc, rank, round, si int, self []con
 			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
 		}
 		key := collKey{round, phReduce, si, step, 0}
-		var out []contrib
-		if self != nil {
-			out = restrict(list, lo, sendLo, sendHi)
-		}
+		out := clipContribs(nil, list, [2]int{lo, hi}, [2]int{sendLo, sendHi})
 		c.send(p, rank, partner, collMsg{key: key, contribs: out}, c.wireOf(sendHi-sendLo))
 		m := c.recv(p, rank, partner, key)
 		if self != nil {
-			list = mergeContribs(restrict(list, lo, keepLo, keepHi), m.contribs)
+			kept = clipContribs(kept[:0], list, [2]int{lo, hi}, [2]int{keepLo, keepHi})
+			list = mergeContribs(kept, m.contribs)
 		}
 		trail = append(trail, span{lo, hi})
 		lo, hi = keepLo, keepHi
@@ -979,7 +1035,7 @@ func (c *Communicator) rhdAllReduce(p *sim.Proc, rank, round, si int, self []con
 		step++
 	}
 	if buf != nil {
-		orderedSum(buf[lo:hi], list)
+		c.orderedSum(buf[lo:hi], list)
 	}
 	// Doubling: walk the halving steps in reverse; each exchange restores
 	// the range the corresponding halving step split.
@@ -988,7 +1044,7 @@ func (c *Communicator) rhdAllReduce(p *sim.Proc, rank, round, si int, self []con
 		key := collKey{round, phBcast, si, step, 0}
 		var data []float32
 		if buf != nil {
-			data = snapshot(buf[lo:hi])
+			data = buf[lo:hi]
 		}
 		c.send(p, rank, partner, collMsg{key: key, lo: lo, data: data}, c.wireOf(hi-lo))
 		m := c.recv(p, rank, partner, key)
@@ -1025,6 +1081,12 @@ func (c *Communicator) chainChunks(seg [2]int) [][2]int {
 // sending chunk k+1, so for C chunks the cost approaches
 // (P−2+C)(α + (n/C)β) instead of the tree's log2(P)(α + nβ) — the
 // pipelined variant large packed buffers want.
+//
+// The missing synchronization is also why the chain cannot borrow: nothing
+// holds a sender inside the collective until its successor has read the
+// chunk (a barrier would, and would destroy the pipelining and move the
+// simulated time), so every send carries a copy, which the receiver returns
+// to the free list once it has copied out.
 func (c *Communicator) chainBcast(p *sim.Proc, rank, round, phase, si, root int, buf []float32, seg [2]int) {
 	P := len(c.parties)
 	vr := c.vrOf(rank, root)
@@ -1034,12 +1096,13 @@ func (c *Communicator) chainBcast(p *sim.Proc, rank, round, phase, si, root int,
 			m := c.recv(p, rank, c.realOf(vr-1, root), key)
 			if buf != nil {
 				copy(buf[ch[0]:ch[1]], m.data)
+				c.free.release(m.data)
 			}
 		}
 		if vr < P-1 {
 			var data []float32
 			if buf != nil {
-				data = snapshot(buf[ch[0]:ch[1]])
+				data = c.free.snapshot(buf[ch[0]:ch[1]])
 			}
 			c.send(p, rank, c.realOf(vr+1, root), collMsg{key: key, data: data}, c.wireOf(ch[1]-ch[0]))
 		}
@@ -1050,16 +1113,25 @@ func (c *Communicator) chainBcast(p *sim.Proc, rank, round, phase, si, root int,
 // round synchronization; root reassembles the chunk streams into full-range
 // contributions and returns the merged list, everyone else nil. Every chunk
 // carries the same tag set (each party's self covers the whole segment), so
-// the reassembly just concatenates each tag's chunk pieces in order.
-func (c *Communicator) chainGather(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int) []contrib {
+// the reassembly just concatenates each tag's chunk pieces in order. As in
+// chainBcast, a party may return while its chunks are still hops away from
+// root, so it sends copies of its own contributions; root recycles them
+// after reassembly. dst is gatherSeg's.
+func (c *Communicator) chainGather(p *sim.Proc, rank, round, phase, si, root int, self []contrib, seg [2]int, dst []float32) []contrib {
 	P := len(c.parties)
 	vr := c.vrOf(rank, root)
 	var assembled []contrib
 	for k, ch := range c.chainChunks(seg) {
 		key := collKey{round, phase, si, 0, k}
-		list := clipContribs(self, seg, ch)
+		list := clipContribs(nil, self, seg, ch)
+		if vr > 0 {
+			for i := range list {
+				list[i].vals = c.free.snapshot(list[i].vals)
+			}
+		}
+		var m collMsg
 		if vr < P-1 {
-			m := c.recv(p, rank, c.realOf(vr+1, root), key)
+			m = c.recv(p, rank, c.realOf(vr+1, root), key)
 			list = mergeContribs(list, m.contribs)
 		}
 		if vr > 0 {
@@ -1074,7 +1146,13 @@ func (c *Communicator) chainGather(p *sim.Proc, rank, round, phase, si, root int
 			for i, cb := range list {
 				copy(assembled[i].vals[ch[0]-seg[0]:ch[1]-seg[0]], cb.vals)
 			}
+			for _, cb := range m.contribs {
+				c.free.release(cb.vals)
+			}
 		}
+	}
+	if dst != nil {
+		c.orderedSum(dst, assembled)
 	}
 	return assembled
 }

@@ -37,6 +37,11 @@ import (
 //     including the Range/bucketed variants the streaming pipeline uses.
 //     Wire cost still charges one partial-sum-sized payload per message,
 //     exactly like the real algorithm the timing models.
+//
+// The buffer-reuse contract composes too: the allreduce and the broadcast
+// borrow end to end (a non-leader is held in the intra-node broadcast until
+// its leader returns from the fabric, by which time every sum that reads its
+// buffer is done); only the rooted reduction copies.
 
 // HierConfig configures a HierCommunicator.
 type HierConfig struct {
@@ -91,6 +96,9 @@ type HierCommunicator struct {
 	dead   map[int]bool
 	sub    engine
 	liveOf []int
+	// free recycles the contribution copies of the rooted reduction, the one
+	// hierarchical collective that cannot borrow (see reduceSeg).
+	free bufPool
 }
 
 // NewHierCommunicator composes intra-node communicators (one per group,
@@ -285,7 +293,7 @@ func (hc *HierCommunicator) allReduceSeg(p *sim.Proc, rank, round, si int, buf [
 	lead := hc.leaderOf[g]
 	ic := hc.intra[g]
 	self := ic.selfContrib(local, buf, seg)
-	list := ic.gatherSeg(p, local, round, phReduce, si, lead, self, seg)
+	list := ic.gatherSeg(p, local, round, phReduce, si, lead, self, seg, nil)
 	if local == lead {
 		hc.inter.allReduceListSeg(p, g, round, si, list, buf, seg)
 	}
@@ -301,14 +309,16 @@ func (hc *HierCommunicator) bcastSeg(p *sim.Proc, rank, round, si, root int, buf
 	rg := hc.groupOf[root]
 	ic := hc.intra[g]
 	elems := seg[1] - seg[0]
-	// Hand-off: a non-leader root passes the segment to its group's leader.
+	// Hand-off: a non-leader root passes the segment to its group's leader —
+	// borrowed: the root then waits in the local fan-out below, which its
+	// leader feeds only after copying the hand-off out.
 	if !hc.IsLeader(root) {
 		key := collKey{round, phHand, si, 0, 0}
 		switch rank {
 		case root:
 			var data []float32
 			if buf != nil {
-				data = snapshot(buf[seg[0]:seg[1]])
+				data = buf[seg[0]:seg[1]]
 			}
 			ic.send(p, local, lead, collMsg{key: key, data: data}, ic.wireOf(elems))
 		case hc.LeaderRank(rg):
@@ -329,15 +339,23 @@ func (hc *HierCommunicator) bcastSeg(p *sim.Proc, rank, round, si, root int, buf
 // reduceSeg runs one segment's two-level reduction: intra gathers to the
 // leaders, leaders gather over the fabric to the root's leader, which hands
 // the assembled list to a non-leader root.
+//
+// Contributions travel as copies here: a non-leader returns at the end of
+// its intra-node gather, long before the fabric gather and the hand-off
+// deliver the list to root, and no barrier spans the levels (adding one
+// would move the simulated time). Root recycles the copies after the sum.
 func (hc *HierCommunicator) reduceSeg(p *sim.Proc, rank, round, si, root int, buf []float32, seg [2]int) {
 	g, local := hc.groupOf[rank], hc.localOf[rank]
 	lead := hc.leaderOf[g]
 	rg := hc.groupOf[root]
 	ic := hc.intra[g]
 	self := ic.selfContrib(local, buf, seg)
-	list := ic.gatherSeg(p, local, round, phReduce, si, lead, self, seg)
+	for i := range self {
+		self[i].vals = hc.free.snapshot(self[i].vals)
+	}
+	list := ic.gatherSeg(p, local, round, phReduce, si, lead, self, seg, nil)
 	if local == lead {
-		list = hc.inter.gatherSeg(p, g, round, phReduce, si, rg, list, seg)
+		list = hc.inter.gatherSeg(p, g, round, phReduce, si, rg, list, seg, nil)
 	}
 	// Hand-off: the root group's leader passes the assembled list to a
 	// non-leader root (one segment-sized wire message, like the real
@@ -352,6 +370,9 @@ func (hc *HierCommunicator) reduceSeg(p *sim.Proc, rank, round, si, root int, bu
 		}
 	}
 	if rank == root && buf != nil {
-		orderedSum(buf[seg[0]:seg[1]], list)
+		ic.orderedSum(buf[seg[0]:seg[1]], list)
+		for _, cb := range list {
+			hc.free.release(cb.vals)
+		}
 	}
 }

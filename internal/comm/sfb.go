@@ -79,12 +79,16 @@ func checkFactors(f Factors) {
 	}
 }
 
-// snapFactors snapshots a party's factor views at send time (the same
-// capture point selfContrib applies to dense contributions) and stamps the
-// contribution tag.
+// snapFactors copies a party's factor views at send time and stamps the
+// contribution tag. Unlike a dense contribution, a factor pair cannot be
+// borrowed: the allgather *returns* it to every party, which reconstructs
+// from it after the lender's call — and its backward buffers' lifetime — has
+// ended.
 func snapFactors(tag int, f Factors) Factors {
 	return Factors{Rank: tag, DY: snapshot(f.DY), X: snapshot(f.X), B: f.B, F: f.F, D: f.D}
 }
+
+func snapshot(v []float32) []float32 { return append([]float32(nil), v...) }
 
 // phFactor keys factor-collective messages apart from the reduce, broadcast
 // and hierarchical hand-off phases sharing a round number.

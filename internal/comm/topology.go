@@ -161,11 +161,15 @@ func (t *Topology) occupy(p *sim.Proc, src, dst int, wireBytes int64) {
 
 // Send transmits payload from src to dst: the calling process pays the
 // wire time (holding any shared segments), then the message is delivered
-// to dst's mailbox. Payloads are delivered by reference; senders that
-// mutate a buffer after sending must pass a snapshot. With chaos installed
-// or a dead node present, delivery runs the guarded protocol (chaos.go):
-// seeded loss/corruption, ack/timeout/retry, cancellation on destination
-// death.
+// to dst's mailbox. Payloads are delivered by reference, never copied: a
+// payload that views a live buffer is a loan, and the buffer must not change
+// until the receiver has consumed it. The collective engine lends its
+// callers' buffers this way and keeps the lender blocked until the bytes are
+// read (the buffer-reuse contract in collective.go); a sender that returns
+// to its caller without such an ordering guarantee must send a copy. With
+// chaos installed or a dead node present, delivery runs the guarded protocol
+// (chaos.go): seeded loss/corruption, ack/timeout/retry, cancellation on
+// destination death.
 func (t *Topology) Send(p *sim.Proc, src, dst, tag int, payload any, wireBytes int64) {
 	if t.chaos != nil || t.hasDead {
 		t.checkNode(src)

@@ -344,10 +344,6 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 
 	const root = 0
 	losses := make([]float64, cfg.Workers)
-	gbufs := make([][]float32, cfg.Workers)
-	for i := range gbufs {
-		gbufs[i] = make([]float32, len(rc.center))
-	}
 	bar := sim.NewBarrier(env, "iteration", cfg.Workers)
 
 	// Fail-continue (FaultPlan.FailMode "continue"): worker failRank dies
@@ -375,6 +371,10 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 	for i := 0; i < cfg.Workers; i++ {
 		i := i
 		w := rc.workers[i]
+		// The exchange runs in place on the replica's packed gradient: the
+		// collectives borrow the buffer for the length of the call, and the
+		// next backward rewrites it only after this step's last join.
+		grads := w.net.Grads
 		ep := eps[i]
 		var crew *bucketCrew
 		if cfg.Overlap {
@@ -411,12 +411,11 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 						if !prepared {
 							// First emission: the pool join has landed, the
 							// full gradient is final; quantize (error
-							// feedback) and snapshot once, exactly as the
-							// monolithic path does after its compute delay.
+							// feedback) once, exactly as the monolithic path
+							// does after its compute delay.
 							if quantizers != nil {
-								quantizers[i].Apply(w.net.Grads, w.net.Grads)
+								quantizers[i].Apply(grads, grads)
 							}
-							copy(gbufs[i], w.net.Grads)
 							prepared = true
 						}
 					}
@@ -439,7 +438,7 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 					losses[i] = stream.walkHybrid(p, w, scale, func(b int, bk comm.Bucket) {
 						ready()
 						crew.fork(fmt.Sprintf("ar%d.%d.%d", i, t, b), func(bp *sim.Proc) {
-							ep.AllReduceRange(bp, t*perIterOverlap+b, gbufs[i], bk.Lo, bk.Hi)
+							ep.AllReduceRange(bp, t*perIterOverlap+b, grads, bk.Lo, bk.Hi)
 						})
 					}, onFactor)
 					hidden := crew.wait(p)
@@ -449,7 +448,7 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 						// all P pairs), charged to the virtual clock here
 						// and attributed to CatSFBRecon at the root.
 						for k, sg := range hy.segs {
-							hy.scratch[i] = comm.ReconstructFactors(gbufs[i][sg.lo:sg.hi], hy.outs[i][k], hy.scratch[i])
+							hy.scratch[i] = comm.ReconstructFactors(grads[sg.lo:sg.hi], hy.outs[i][k], hy.scratch[i])
 						}
 						p.Delay(hy.reconTime)
 					}
@@ -474,13 +473,12 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 					// selected schedule; every worker ends with the rank-ordered
 					// sum, bit-identical to comm.ReduceSum.
 					if quantizers != nil {
-						quantizers[i].Apply(w.net.Grads, w.net.Grads)
+						quantizers[i].Apply(grads, grads)
 					}
-					copy(gbufs[i], w.net.Grads)
 					tA := p.Now()
 					rw0, dw0 := retryWait(), rc.droppedWait
 					if hy == nil {
-						ep.AllReduce(p, t*perIterMono, gbufs[i])
+						ep.AllReduce(p, t*perIterMono, grads)
 					} else {
 						// Hybrid monolithic: each contiguous run of dense
 						// segments allreduces as a range, each SFB layer's
@@ -490,14 +488,14 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 						// whole-model allreduce bit for bit.
 						base := t * perIterMono
 						for j, dr := range hy.denseRuns {
-							ep.AllReduceRange(p, base+j, gbufs[i], dr.lo, dr.hi)
+							ep.AllReduceRange(p, base+j, grads, dr.lo, dr.hi)
 						}
 						nd := len(hy.denseRuns)
 						for k, sg := range hy.segs {
 							dy, x, fb, ff, fd := w.net.Layers[sg.layer].(nn.FactorLayer).BackwardFactors()
 							self := comm.Factors{DY: dy, X: x, B: fb, F: ff, D: fd}
 							hy.outs[i][k] = ep.FactorAllGather(p, base+nd+k, self, hy.outs[i][k])
-							hy.scratch[i] = comm.ReconstructFactors(gbufs[i][sg.lo:sg.hi], hy.outs[i][k], hy.scratch[i])
+							hy.scratch[i] = comm.ReconstructFactors(grads[sg.lo:sg.hi], hy.outs[i][k], hy.scratch[i])
 						}
 						p.Delay(hy.reconTime)
 					}
@@ -529,7 +527,7 @@ func (rc *runContext) runSyncSGDWorkers(env *sim.Env, plan comm.Plan, eps []grad
 				// Every live replica takes the same averaged step.
 				live := liveAt(s)
 				step := cfg.LR / float32(live)
-				for k, g := range gbufs[i] {
+				for k, g := range grads {
 					w.net.Params[k] -= step * g
 				}
 				p.Delay(rc.workerUpdate)

@@ -39,8 +39,14 @@ type runContext struct {
 	cfg     Config
 	workers []*worker
 	center  []float32 // W̄, the center (global) weight
-	probe   *nn.Net   // scratch net used for accuracy probes
-	plan    comm.Plan
+	// probe is the scratch net of the accuracy probes: the Xavier-initialized
+	// model the workers were copied from, reloaded with the center each time.
+	// (The trained model handed out at the end is a fresh replica, not this
+	// net: Results compare deeply equal across runs and pool widths, which a
+	// net that has run a forward — cached closures, width-sized chunk views —
+	// does not.)
+	probe *nn.Net
+	plan  comm.Plan
 
 	paramBytes int64
 	// commSel holds the hybrid-communication selector's per-layer transport
@@ -108,10 +114,11 @@ func newRunContext(cfg Config) (*runContext, error) {
 	rc.prevPrec = tensor.SetComputePrecision(prec)
 	base := tensor.NewRNG(cfg.Seed)
 	// One shared initial model, copied to every worker (Algorithms 1-4:
-	// initialize W once, copy to all).
+	// initialize W once, copy to all) — the only net of the run that draws
+	// weights.
 	init := cfg.Def.Build(base.Int63())
 	rc.center = append([]float32(nil), init.Params...)
-	rc.probe = cfg.Def.Build(0)
+	rc.probe = init
 	rc.paramBytes = init.ParamBytes()
 	rc.plan = cfg.Platform.plan(init.LayerParamSizes())
 	for i, l := range init.Layers {
@@ -131,11 +138,10 @@ func newRunContext(cfg Config) (*runContext, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			id:        i,
-			net:       cfg.Def.Build(base.Int63()),
+			net:       cfg.Def.Replica(rc.center, base.Int63()),
 			sampler:   data.NewSampler(cfg.Train, base.Int63()),
 			batchSize: cfg.Batch,
 		}
-		w.net.CopyParamsFrom(init)
 		w.computeTime = cfg.Platform.Worker.ComputeTime(flopsPerBatch, bytesTouched)
 		w.dataBytes = int64(cfg.Batch) * cfg.Train.Spec.SampleBytes()
 		rc.workers = append(rc.workers, w)
@@ -326,8 +332,6 @@ func (rc *runContext) finish(method string, simTime float64) Result {
 		live++
 	}
 	lastLoss /= float64(live)
-	trained := rc.cfg.Def.Build(0)
-	copy(trained.Params, rc.center)
 	return Result{
 		Method:        method,
 		Workers:       rc.cfg.Workers,
@@ -340,6 +344,6 @@ func (rc *runContext) finish(method string, simTime float64) Result {
 		Samples:       rc.samples,
 		MasterUpdates: rc.updates,
 		Dropped:       rc.dropped,
-		net:           trained,
+		net:           rc.cfg.Def.Replica(rc.center, 0),
 	}
 }

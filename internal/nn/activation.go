@@ -146,7 +146,8 @@ func (l *Dropout) Name() string                 { return fmt.Sprintf("dropout%.2
 func (l *Dropout) OutShape() Shape              { return l.in }
 func (l *Dropout) ParamCount() int              { return 0 }
 func (l *Dropout) Bind(params, grads []float32) {}
-func (l *Dropout) Init(g *tensor.RNG)           { l.g = g.Fork() }
+func (l *Dropout) Init(g *tensor.RNG)           { l.seed(g) }
+func (l *Dropout) seed(g *tensor.RNG)           { l.g = g.Fork() }
 
 func (l *Dropout) Forward(x []float32, b int, train bool) []float32 {
 	out := buf(&l.outBuf, len(x))

@@ -53,6 +53,47 @@ type Net struct {
 // Build instantiates a network from its definition with Xavier-initialized
 // weights drawn from the given seed.
 func (d NetDef) Build(seed int64) *Net {
+	n := d.assemble()
+	g := tensor.NewRNG(seed)
+	for _, l := range n.Layers {
+		l.Init(g)
+	}
+	return n
+}
+
+// Replica instantiates the definition as a copy of an existing parameter
+// vector — what every data-parallel worker is: Algorithms 1-4 initialize W
+// once and copy it to all. It skips the Xavier fill Build would draw only to
+// have it overwritten; seed drives what per-replica randomness remains (the
+// mask streams of dropout layers, wherever they nest).
+func (d NetDef) Replica(params []float32, seed int64) *Net {
+	n := d.assemble()
+	if len(params) != len(n.Params) {
+		panic(fmt.Sprintf("nn: %s replica of %d parameters, definition has %d", d.Name, len(params), len(n.Params)))
+	}
+	copy(n.Params, params)
+	seedLayers(n.Layers, tensor.NewRNG(seed))
+	return n
+}
+
+// seeder is implemented by layers that hold a random stream of their own
+// besides their parameters; seed draws it from g without touching weights.
+type seeder interface {
+	seed(g *tensor.RNG)
+}
+
+// seedLayers seeds every seeder of a layer chain, in order, from g.
+func seedLayers(layers []Layer, g *tensor.RNG) {
+	for _, l := range layers {
+		if s, ok := l.(seeder); ok {
+			s.seed(g)
+		}
+	}
+}
+
+// assemble lays the definition's layers out over freshly allocated (zero)
+// packed parameter and gradient buffers, initializing nothing.
+func (d NetDef) assemble() *Net {
 	layers := make([]Layer, 0, len(d.Specs))
 	shape := d.In
 	for _, s := range d.Specs {
@@ -79,10 +120,6 @@ func (d NetDef) Build(seed int64) *Net {
 	}
 	for i, l := range layers {
 		l.Bind(n.Params[offsets[i]:offsets[i+1]], n.Grads[offsets[i]:offsets[i+1]])
-	}
-	g := tensor.NewRNG(seed)
-	for _, l := range layers {
-		l.Init(g)
 	}
 	return n
 }

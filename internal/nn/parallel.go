@@ -79,6 +79,12 @@ func (p *Parallel) Init(g *tensor.RNG) {
 	}
 }
 
+func (p *Parallel) seed(g *tensor.RNG) {
+	for _, chain := range p.branches {
+		seedLayers(chain, g)
+	}
+}
+
 func (p *Parallel) Forward(x []float32, b int, train bool) []float32 {
 	outDim := p.out.Dim()
 	out := buf(&p.outBuf, b*outDim)
