@@ -1,10 +1,15 @@
 package main
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"scaledl/internal/core"
+	"scaledl/internal/data"
+	"scaledl/internal/nn"
+	"scaledl/internal/parse"
 )
 
 // The fault-spec parsers must reject malformed input with an error instead
@@ -28,11 +33,40 @@ func TestCommModeFlagStrict(t *testing.T) {
 		}
 	}
 	for _, in := range []string{"Dense", "SFB", "Hybrid", "densee", "factors", "x"} {
-		if _, err := core.ParseCommMode(in); err == nil {
-			t.Errorf("ParseCommMode(%q) accepted", in)
-		} else if !strings.Contains(err.Error(), "dense") {
-			t.Errorf("ParseCommMode(%q) error %q does not name the valid modes", in, err)
+		_, err := core.ParseCommMode(in)
+		var pe *parse.Error
+		if !errors.As(err, &pe) {
+			t.Errorf("ParseCommMode(%q): want *parse.Error, got %v", in, err)
+		} else if pe.Value != in || !reflect.DeepEqual(pe.Allowed, core.CommModes()) {
+			t.Errorf("ParseCommMode(%q) error %+v does not carry the input and the valid modes", in, pe)
 		}
+	}
+}
+
+// A knob the chosen method cannot honor surfaces from the registry as a
+// typed *core.UnsupportedError naming the method and the knob — what main
+// prints — never as a silently ignored flag.
+func TestUnsupportedKnobIsTyped(t *testing.T) {
+	train, _ := data.Synthetic(data.Config{
+		Spec: data.Spec{Name: "toy", Channels: 1, Height: 12, Width: 12, Classes: 4}, TrainN: 64, TestN: 8, Seed: 1,
+	})
+	cfg := core.Config{
+		Def: nn.TinyCNN(nn.Shape{C: 1, H: 12, W: 12}, 4), Train: train,
+		Workers: 4, Batch: 4, LR: 0.05, Iterations: 2, Seed: 1, Platform: core.DefaultGPUPlatform(true),
+		Faults: core.FaultPlan{LossRate: 0.05},
+	}
+	for _, method := range []string{"async-sgd", "original-easgd"} {
+		_, err := core.Methods[method](cfg)
+		var ue *core.UnsupportedError
+		if !errors.As(err, &ue) {
+			t.Fatalf("%s -loss: want *core.UnsupportedError, got %v", method, err)
+		}
+		if ue.Method != method || ue.Knob != "loss" || ue.Reason == "" {
+			t.Errorf("%s -loss: refusal %+v", method, ue)
+		}
+	}
+	if _, err := core.Methods["sync-sgd"](cfg); err != nil {
+		t.Errorf("sync-sgd -loss: %v", err)
 	}
 }
 

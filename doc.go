@@ -83,7 +83,7 @@
 //     (intra, inter) schedule pair, including the bucketed Range variants
 //     the streaming pipeline uses. Config.Nodes/GPUsPerNode select the
 //     composed cluster for two training methods: "hier-sync-sgd" (the
-//     SyncSGD loop over a hierarchical endpoint — flat mathematics bit for
+//     sync-sgd row over a hierarchical endpoint — flat mathematics bit for
 //     bit, Config.HierSchedule picking the fabric schedule) and
 //     "hier-sync-easgd" (node-group elastic averaging, group syncs every
 //     Config.TauLocal steps and fabric center syncs every
@@ -102,7 +102,24 @@
 //     monolithic path;
 //   - all twelve distributed algorithms of the paper (the contributions and
 //     every baseline) plus the hierarchical multi-node methods, running
-//     real gradient math under simulated time;
+//     real gradient math under simulated time. The coordinated methods —
+//     Sync EASGD1/2/3, the KNL cluster's Algorithm 4, sync-sgd and the two
+//     hierarchical methods — are one rank program (internal/core/step.go):
+//     per step, membership → fault stall → data copy → compute → exchange
+//     → update → rank-0 bookkeeping → barrier → byte attribution, each
+//     written once, with three seams a method fills as a row of function
+//     values. compute: the whole gradient, or the streamed backward walk.
+//     exchange: the elastic-center Broadcast W̄ + Reduce ΣW (in line or
+//     pre-forked beneath compute; used by Sync EASGD1/2/3, the KNL cluster
+//     and hier-sync-easgd's node-group sync), the gradient allreduce
+//     (dense, bucketed ranges, factor allgathers, or the partial-K
+//     gather; sync-sgd and hier-sync-sgd), the group leaders' fabric
+//     allreduce (hier-sync-easgd). update: Equations (1)+(2), the averaged
+//     SGD step, local SGD and the elastic pull. The asynchronous family
+//     and round-robin keep their master/worker programs. Which method
+//     honors which fault or transport knob is one method × knob table
+//     consulted before a run touches any process state; a refused pair is
+//     a typed *UnsupportedError;
 //   - an experiment harness that regenerates every table and figure of the
 //     paper's evaluation (Tables 2-4, Figures 6, 8, 10-13) plus a batch-size
 //     study, a co-design ablation, an overlap × bucket-size × schedule

@@ -6,6 +6,7 @@ import (
 	"scaledl/internal/comm"
 	"scaledl/internal/quant"
 	"scaledl/internal/sim"
+	"scaledl/internal/tensor"
 )
 
 // The six asynchronous methods share two skeletons.
@@ -146,11 +147,9 @@ func newPSCodecs(cfg Config, n int, elastic bool) psCodecs {
 
 func runAsync(cfg Config, name string, opt asyncOpts) (Result, error) {
 	// The parameter-server transfers ride SendModel/DelayModel, outside
-	// comm's guarded message path — semantic faults cannot be injected here.
-	if err := cfg.Faults.requireTimingOnly(name); err != nil {
-		return Result{}, err
-	}
-	rc, err := newRunContext(cfg)
+	// comm's guarded message path — semantic faults cannot be injected here,
+	// and the support table refuses them.
+	rc, err := newRunContext(name, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -168,7 +167,7 @@ func runAsync(cfg Config, name string, opt asyncOpts) (Result, error) {
 	// round trip with their *next* gradient (§5.1 steps (1)-(2)) — their
 	// payload is weights, ready before compute starts — so they keep that
 	// stronger overlap untouched.
-	stream := rc.newStream(rc.plan)
+	stream := rc.newStream(rc.plan, nil)
 	var velocity []float32
 	if opt.momentum && !opt.elastic {
 		velocity = make([]float32, len(rc.center)) // master-side momentum
@@ -258,7 +257,7 @@ func runAsync(cfg Config, name string, opt asyncOpts) (Result, error) {
 							rc.bd.AddBytes(CatCPUGPUParam, wires[b])
 							topo.DelayModel(bp, i, master, sub, wires[b])
 						})
-					})
+					}, nil)
 					// Upload seconds beyond the walk's end are exposed; the
 					// rest ran hidden beneath the backward.
 					tWalk := p.Now()
@@ -316,7 +315,7 @@ func serveOne(p *sim.Proc, rc *runContext, cfg Config, opt asyncOpts, topo *comm
 				rc.center[i] += velocity[i]
 			}
 		} else {
-			centerSGDUpdate(rc.center, req.payload, cfg.LR)
+			tensor.AXPY(-cfg.LR, req.payload, rc.center) // W̄ ← W̄ − η·∆W
 		}
 	}
 	rc.updates++

@@ -98,13 +98,7 @@ func (p Platform) hierTopology(env *sim.Env, nodes, gpusPerNode int, hostStaged 
 	return comm.NewMultiLevel(env, comm.MultiLevelConfig{
 		Nodes: nodes,
 		PerNode: func(env *sim.Env, node int) *comm.Topology {
-			return comm.NewPCIeTree(env, comm.PCIeConfig{
-				GPUs:              gpusPerNode,
-				Host:              p.link("host", p.HostParam),
-				Peer:              p.link("peer", p.PeerParam),
-				HostStaged:        hostStaged,
-				SwitchConcurrency: p.SwitchConcurrency,
-			})
+			return p.topology(env, gpusPerNode, hostStaged)
 		},
 		Fabric:         p.link("fabric", fabric),
 		NICConcurrency: p.NICConcurrency,
@@ -210,8 +204,8 @@ type Config struct {
 	// to dense mode for every schedule — only the wire bytes and the time
 	// breakdown (CatSFBRecon) move. Composes with Overlap/BucketBytes: SFB
 	// layers leave the bucket stream (their factors ride their own forked
-	// collectives) while the remaining layers bucket as usual. Incompatible
-	// with Compression, partial aggregation and fail-continue faults.
+	// collectives) while the remaining layers bucket as usual. Cannot be
+	// combined with Compression, partial aggregation or fail-continue faults.
 	// Methods that do not allreduce gradients ignore it.
 	CommMode CommMode
 	// Overlap enables the layer-streaming communication pipeline: the
@@ -267,8 +261,15 @@ type Config struct {
 // the per-collective latency α.
 const DefaultBucketBytes = 1 << 20
 
-// Validate checks the configuration and applies documented defaults.
-func (c *Config) Validate() error {
+// Validate checks the configuration and applies documented defaults. It
+// refuses what no method supports; what one particular method refuses is the
+// support table's business (support.go), consulted when a run names it.
+func (c *Config) Validate() error { return c.validateFor(anyMethod) }
+
+// validateFor is Validate for a run of method: field checks and defaults,
+// then — the one place the table is consulted — the method × knob support
+// table. Nothing here touches process state.
+func (c *Config) validateFor(method string) error {
 	if c.Train == nil || c.Train.Len() == 0 {
 		return fmt.Errorf("core: config needs a non-empty training set")
 	}
@@ -322,24 +323,8 @@ func (c *Config) Validate() error {
 	if err := c.Faults.validate(c.Workers); err != nil {
 		return err
 	}
-	switch c.CommMode {
-	case CommDense, CommSFB, CommHybrid:
-	default:
+	if c.CommMode < 0 || int(c.CommMode) >= len(commModeNames) {
 		return fmt.Errorf("core: unknown comm mode %d (one of %v)", int(c.CommMode), CommModes())
-	}
-	if c.CommMode != CommDense {
-		// The factor transport carries rank-tagged (dY, X) views, not the
-		// quantizable gradient vector, and its allgather has no partial or
-		// shrinking-membership form here.
-		if c.Compression != quant.None {
-			return fmt.Errorf("core: comm mode %v is incompatible with gradient compression", c.CommMode)
-		}
-		if c.Faults.PartialK > 0 {
-			return fmt.Errorf("core: comm mode %v is incompatible with partial aggregation (PartialK)", c.CommMode)
-		}
-		if c.Faults.failContinue() {
-			return fmt.Errorf("core: comm mode %v is incompatible with fail-continue faults", c.CommMode)
-		}
 	}
 	if _, err := tensor.ParsePrecision(c.ComputePrec); err != nil {
 		return fmt.Errorf("core: %v", err)
@@ -352,7 +337,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: link-scale factor for %q must be positive, got %v", name, f)
 		}
 	}
-	return nil
+	return supported(method, c)
 }
 
 // plan builds the parameter message plan for a model's per-layer sizes.

@@ -33,9 +33,10 @@ import (
 //
 // Semantic faults are supported by the collective-driven families —
 // sync-sgd and hier-sync-sgd (everything), the Sync EASGD versions and
-// hier-sync-easgd (loss/corruption only) — and rejected with an error by
-// the methods whose parameter traffic bypasses the guarded message path
-// (the asynchronous family, round-robin, the KNL cluster).
+// hier-sync-easgd (loss/corruption only) — and refused with an
+// *UnsupportedError by the methods whose parameter traffic bypasses the
+// guarded message path (the asynchronous family, round-robin, the KNL
+// cluster); support.go holds the method × knob table.
 //
 // Steps are counted per worker and 1-based: a worker's first iteration is
 // step 1. For synchronous families a step is a global round; for the
@@ -115,7 +116,7 @@ type FaultPlan struct {
 	// Ranks whose step-t gradient misses the window contribute zero to that
 	// step (the averaged step keeps the live-worker divisor); every dropped
 	// (step, rank) pair is recorded in Result.Dropped and the coordinator's
-	// deadline wait in CatDropped. Incompatible with Config.Overlap.
+	// deadline wait in CatDropped. Cannot be combined with Config.Overlap.
 	PartialK int
 
 	// PartialDeadline scales the partial-aggregation window: rank 0 waits
@@ -254,39 +255,6 @@ func (f *FaultPlan) validate(workers int) error {
 	return nil
 }
 
-// requireTimingOnly rejects semantic-fault knobs for methods whose
-// parameter traffic bypasses comm's guarded message path (SendModel /
-// DelayModel transfers): the chaos layer could not protect them, so the
-// knobs are an error there rather than silently inert.
-func (f *FaultPlan) requireTimingOnly(method string) error {
-	if f.semantic() {
-		return fmt.Errorf("core: %s does not support message loss/corruption (its parameter traffic bypasses the guarded message path)", method)
-	}
-	return f.requireNoMembershipChange(method)
-}
-
-// requireNoMembershipChange rejects the knobs that shrink or gate
-// collective membership (fail-continue, partial aggregation) for methods
-// whose center mathematics assumes all P workers every round.
-func (f *FaultPlan) requireNoMembershipChange(method string) error {
-	if f.failContinue() {
-		return fmt.Errorf("core: %s does not support fail mode %q (its center update needs all %s workers); use sync-sgd or hier-sync-sgd", method, FailContinue, "P")
-	}
-	if f.PartialK > 0 {
-		return fmt.Errorf("core: %s does not support partial aggregation (PartialK); use sync-sgd", method)
-	}
-	return nil
-}
-
-// requireFlatLinks rejects BadLinks for methods running on a composed
-// hierarchical topology, where worker ranks are not topology node ids.
-func (f *FaultPlan) requireFlatLinks(method string) error {
-	if len(f.BadLinks) > 0 {
-		return fmt.Errorf("core: %s does not support per-link BadLinks (hierarchical node ids are not worker ranks); use the global rates", method)
-	}
-	return nil
-}
-
 // chaos converts the plan's semantic knobs into the comm-layer
 // configuration (nil when no semantic knob is set); seed is the run seed
 // used when FaultSeed is 0.
@@ -307,10 +275,11 @@ func (f *FaultPlan) chaos(seed int64) *comm.Chaos {
 }
 
 // installChaos arms topo with the plan's semantic faults: the seeded
-// loss/corruption plan plus the per-link BadLinks wrappers. rankNode maps
-// worker ranks to topology node ids (identity on the flat topologies).
-// No-op when no semantic knob is set.
-func (rc *runContext) installChaos(topo *comm.Topology, rankNode func(int) int) {
+// loss/corruption plan plus the per-link BadLinks wrappers. BadLinks name
+// worker ranks, which are the topology's node ids on the flat topologies —
+// the only ones the support table admits them on. No-op when no semantic
+// knob is set.
+func (rc *runContext) installChaos(topo *comm.Topology) {
 	f := &rc.cfg.Faults
 	ch := f.chaos(rc.cfg.Seed)
 	if ch == nil {
@@ -318,7 +287,7 @@ func (rc *runContext) installChaos(topo *comm.Topology, rankNode func(int) int) 
 	}
 	topo.SetChaos(ch)
 	for _, bl := range f.BadLinks {
-		topo.WrapLossy(rankNode(bl.From), rankNode(bl.To), bl.Loss, bl.Corrupt)
+		topo.WrapLossy(bl.From, bl.To, bl.Loss, bl.Corrupt)
 	}
 }
 

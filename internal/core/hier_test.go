@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -236,11 +237,13 @@ func TestHierConfigValidation(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Error("Nodes without GPUsPerNode not rejected")
 	}
-	if _, err := HierSyncSGD(testConfig(t, 5, true)); err == nil {
-		t.Error("hier-sync-sgd accepted a flat config")
-	}
-	if _, err := HierSyncEASGD(testConfig(t, 5, true)); err == nil {
-		t.Error("hier-sync-easgd accepted a flat config")
+	for name, run := range map[string]Runner{"hier-sync-sgd": HierSyncSGD, "hier-sync-easgd": HierSyncEASGD} {
+		var ue *UnsupportedError
+		if _, err := run(testConfig(t, 5, true)); !errors.As(err, &ue) {
+			t.Errorf("%s on a flat config: want *UnsupportedError, got %v", name, err)
+		} else if ue.Method != name || ue.Knob != "flat-cluster" {
+			t.Errorf("%s on a flat config: refusal names %s × %s", name, ue.Method, ue.Knob)
+		}
 	}
 }
 

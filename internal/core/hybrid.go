@@ -40,36 +40,32 @@ const (
 	CommHybrid
 )
 
+// commModeNames is indexed by CommMode.
+var commModeNames = [...]string{"dense", "sfb", "hybrid"}
+
 // String names the mode as ParseCommMode accepts it.
 func (m CommMode) String() string {
-	switch m {
-	case CommDense:
-		return "dense"
-	case CommSFB:
-		return "sfb"
-	case CommHybrid:
-		return "hybrid"
-	default:
+	if m < 0 || int(m) >= len(commModeNames) {
 		return fmt.Sprintf("CommMode(%d)", int(m))
 	}
+	return commModeNames[m]
 }
 
 // CommModes lists every mode name accepted by ParseCommMode.
-func CommModes() []string { return []string{"dense", "sfb", "hybrid"} }
+func CommModes() []string { return append([]string(nil), commModeNames[:]...) }
 
 // ParseCommMode converts a name ("dense", "sfb", "hybrid") to a CommMode;
 // the empty string means dense.
 func ParseCommMode(name string) (CommMode, error) {
-	switch name {
-	case "", "dense":
-		return CommDense, nil
-	case "sfb":
-		return CommSFB, nil
-	case "hybrid":
-		return CommHybrid, nil
-	default:
-		return 0, parse.Errorf("comm mode", name, CommModes())
+	for m, n := range commModeNames {
+		if name == n {
+			return CommMode(m), nil
+		}
 	}
+	if name == "" {
+		return CommDense, nil
+	}
+	return 0, parse.Errorf("comm mode", name, CommModes())
 }
 
 // LayerCommChoice is the selector's verdict for one parameter layer: the
@@ -206,13 +202,11 @@ func selectCommModes(cfg Config, layers []nn.Layer) *HybridSelector {
 	return hs
 }
 
-// hybridSeg is one SFB-routed plan segment at run time: its packed element
-// range, the nn layer whose factor views feed the collective, and its
-// reconstruction compute charge.
+// hybridSeg is one SFB-routed plan segment at run time: the nn layer whose
+// factor views feed the collective and its packed element range.
 type hybridSeg struct {
-	seg, layer int // plan segment / nn layer index
-	lo, hi     int // element range within the packed model vector
-	reconTime  float64
+	layer  int // nn layer index
+	lo, hi int // element range within the packed model vector
 }
 
 // elemRange is a contiguous [lo,hi) element run of non-SFB segments — one
@@ -220,28 +214,25 @@ type hybridSeg struct {
 type elemRange struct{ lo, hi int }
 
 // hybridRun realizes the selector's decisions against one communicator
-// plan: the SFB segments (ascending), the dense runs between them, the skip
-// mask for the bucketizer, and per-worker reusable factor/scratch buffers.
+// plan: the SFB segments (ascending), the dense runs between them and the
+// skip mask for the bucketizer.
 type hybridRun struct {
 	segs      []hybridSeg
 	denseRuns []elemRange
 	skip      []bool
 	reconTime float64     // per-iteration reconstruction compute, all segs
 	bySeg     map[int]int // plan segment -> ordinal in segs
-
-	outs    [][][]comm.Factors // [worker][sfb ordinal] gathered lists
-	scratch [][]float32        // [worker] reconstruction scratch
 }
 
-// hybridRun builds the run-time hybrid layout, or nil when every layer
-// rides the dense allreduce (dense mode, or a selector that picked no SFB
-// layer). The plan must be the per-layer parameter plan — guaranteed by
-// Validate, which rejects CommMode≠dense with Compression (whose packed
-// single-residual plan has no per-layer segments).
+// hybridRun builds the run-time hybrid layout — empty (no segs, nil skip)
+// when every layer rides the dense allreduce (dense mode, or a selector that
+// picked no SFB layer). The plan must be the per-layer parameter plan —
+// guaranteed by Validate, which rejects CommMode≠dense with Compression
+// (whose packed single-residual plan has no per-layer segments).
 func (rc *runContext) hybridRun(plan comm.Plan) *hybridRun {
 	sel := rc.commSel
 	if sel == nil || sel.NumSFB() == 0 || len(plan.LayerBytes) != len(sel.Choices) {
-		return nil
+		return &hybridRun{}
 	}
 	offs := make([]int, len(plan.LayerBytes)+1)
 	for i, b := range plan.LayerBytes {
@@ -256,9 +247,7 @@ func (rc *runContext) hybridRun(plan comm.Plan) *hybridRun {
 				runLo = -1
 			}
 			hy.bySeg[seg] = len(hy.segs)
-			hy.segs = append(hy.segs, hybridSeg{
-				seg: seg, layer: c.Layer, lo: offs[seg], hi: offs[seg+1], reconTime: c.ReconTime,
-			})
+			hy.segs = append(hy.segs, hybridSeg{layer: c.Layer, lo: offs[seg], hi: offs[seg+1]})
 			hy.reconTime += c.ReconTime
 			continue
 		}
@@ -268,11 +257,6 @@ func (rc *runContext) hybridRun(plan comm.Plan) *hybridRun {
 	}
 	if runLo >= 0 {
 		hy.denseRuns = append(hy.denseRuns, elemRange{offs[runLo], offs[len(sel.Choices)]})
-	}
-	hy.outs = make([][][]comm.Factors, rc.cfg.Workers)
-	hy.scratch = make([][]float32, rc.cfg.Workers)
-	for i := range hy.outs {
-		hy.outs[i] = make([][]comm.Factors, len(hy.segs))
 	}
 	return hy
 }

@@ -28,148 +28,33 @@ type KNLClusterConfig struct {
 // and a full data copy; each iteration all nodes compute gradients in
 // parallel, node 1 broadcasts the center weight W̄ while a binomial tree
 // reduces ΣW_j to it, every node applies Equation (1) and the master
-// applies Equation (2).
+// applies Equation (2). It is the Sync EASGD row of the step frame
+// (elasticRow, sync.go) with four cells changed: the ranks sit on a uniform
+// fabric, sample their batch from local memory (no data copy on the
+// timeline), KNL1's Equation (2) runs in line after the workers' update,
+// and Config.Overlap decides whether the broadcast streams beneath compute.
+// The chip-local partition sums bypass the guarded message path, so the
+// support table admits only timing faults here.
 func KNLClusterEASGD(kcfg KNLClusterConfig) (Result, error) {
-	// The chip-local partition sums bypass the guarded message path, so
-	// only timing faults are meaningful here.
-	if err := kcfg.Faults.requireTimingOnly("knl-cluster-easgd"); err != nil {
-		return Result{}, err
-	}
-	rc, err := newRunContext(kcfg.Config)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg := rc.cfg
-	if kcfg.Fabric == nil {
-		kcfg.Fabric = hw.Aries
-	}
-	env := sim.NewEnv()
-	defer env.Close()
-
-	n := len(rc.center)
-	topo := comm.NewUniform(env, cfg.Workers, kcfg.Fabric)
-	parties := comm.Ranks(cfg.Workers)
-	// The plan keeps the per-layer segment structure under the packed
-	// single-message layout: monolithic collectives still move one message
-	// per hop (packed plans collapse to a single wire segment), while the
-	// streaming pipeline can coalesce layers into buckets along the same
-	// boundaries.
-	plan := comm.Plan{LayerBytes: rc.plan.LayerBytes, Packed: true}
-	cm := comm.NewCommunicator(topo, comm.CommConfig{
-		Parties:  parties,
-		Plan:     plan,
-		Schedule: cfg.Schedule,
-	})
-	stream := rc.newStream(plan)
-	nb := stream.bz.NumBuckets()
-	bar := sim.NewBarrier(env, "round", cfg.Workers)
-
-	for id := 0; id < cfg.Workers; id++ {
-		id := id
-		w := rc.workers[id]
-		ep := cm.Endpoint(id)
-		var crew *bucketCrew
-		if cfg.Overlap {
-			crew = newBucketCrew(env, fmt.Sprintf("knl-rank%d", id), maxInFlightBuckets)
+	return runCoordinated("knl-cluster-easgd", kcfg.Config, func(rc *runContext, env *sim.Env) program {
+		cfg := rc.cfg
+		fabric := kcfg.Fabric
+		if fabric == nil {
+			fabric = hw.Aries
 		}
-		env.Spawn(fmt.Sprintf("knl-rank%d", id), func(p *sim.Proc) {
-			sum := make([]float32, n)
-			centerBuf := make([]float32, n)
-			if id == 0 {
-				copy(centerBuf, rc.center)
-			}
-			for t := 0; t < cfg.Iterations; t++ {
-				rc.injectFaults(p, id, t+1)
-				t0 := p.Now()
-				// Under Config.Overlap, line 12's broadcast streams through
-				// the bucketed pipeline beneath line 10's compute: W̄_t was
-				// fixed by the previous iteration's master update, so its
-				// bucket waves can start immediately, and the join after
-				// compute exposes only the excess.
-				base := 2 * t // rounds: non-overlap bcast 2t, reduce 2t+1
-				if cfg.Overlap {
-					base = t * (nb + 1) // rounds: buckets base..base+nb−1, reduce base+nb
-					stream.forkBroadcasts(crew, fmt.Sprintf("bcast%d.%d", id, t), base, 0, ep, centerBuf)
-				}
-				// Line 10: each node samples b from its local copy (local
-				// memory, negligible on the fabric timeline) and computes the
-				// gradient for real. The math runs on the par pool while this
-				// rank waits out its compute delay, so all P ranks' gradients
-				// overlap in real time exactly as the paper's nodes do; the
-				// join lands before the weights enter the collectives.
-				join := w.beginGradient()
-				ct := rc.computeDelay(id, t+1)
-				p.Delay(ct)
-				roundLoss := join()
-				if id == 0 {
-					rc.bd.Add(CatForwardBackward, ct)
-				}
-
-				// The broadcast's exposed time is charged the same way in
-				// both modes (chargeOverlap with active=0 is the monolithic
-				// formula), so breakdowns stay comparable across the
-				// Overlap knob — overlap hides time, it never re-labels it.
-				reduceRound := base + 1
-				if cfg.Overlap {
-					busy := crew.wait(p)
-					if id == 0 {
-						rc.chargeOverlap(CatGPUGPUParam, p.Now()-t0, ct, busy)
-					}
-					reduceRound = base + nb
-				} else {
-					// Line 12: KNL1 broadcasts W̄_t (real message tree).
-					ep.Broadcast(p, base, 0, centerBuf)
-					if id == 0 {
-						rc.chargeOverlap(CatGPUGPUParam, p.Now()-t0, ct, 0)
-					}
-				}
-				// Line 13: tree-reduce ΣW_j^t to KNL1 (pre-update weights;
-				// the engine combines contributions in rank order, so the
-				// sum is bit-identical to comm.ReduceSum).
-				tR := p.Now()
-				copy(sum, w.net.Params)
-				ep.Reduce(p, reduceRound, 0, sum)
-				if id == 0 {
-					rc.bd.Add(CatGPUGPUParam, p.Now()-tR)
-				}
-
-				// Line 14: every node applies Equation (1) with W̄_t.
-				w.elasticLocal(cfg.LR, cfg.Rho, centerBuf)
-				p.Delay(rc.workerUpdate)
-
-				// Line 15: KNL1 applies Equation (2) with the reduced sum.
-				if id == 0 {
-					rc.bd.Add(CatGPUUpdate, rc.workerUpdate)
-					a := cfg.LR * cfg.Rho
-					pf := float32(cfg.Workers)
-					for i := range centerBuf {
-						centerBuf[i] += a * (sum[i] - pf*centerBuf[i])
-					}
-					p.Delay(rc.masterUpdate)
-					rc.bd.Add(CatCPUUpdate, rc.masterUpdate)
-					copy(rc.center, centerBuf)
-					rc.updates++
-					rc.samples += int64(cfg.Batch * cfg.Workers)
-					rc.bd.AddBytes(CatGPUGPUParam, topo.BytesMoved()-rc.bd.Bytes[CatGPUGPUParam])
-					if cfg.EvalEvery > 0 && (t+1)%cfg.EvalEvery == 0 {
-						rc.recordPoint(t+1, p.Now(), roundLoss)
-					}
-				}
-				// Round barrier: free in simulated time (the next broadcast
-				// waits on rank 0 anyway), but it gives every rank a
-				// consistent view of the early-stop flag — no phantom
-				// gradient round after the target is reached.
-				p.Wait(bar)
-				if rc.stopped {
-					return
-				}
-			}
+		topo := comm.NewUniform(env, cfg.Workers, fabric)
+		// The plan keeps the per-layer segment structure under the packed
+		// single-message layout: monolithic collectives still move one
+		// message per hop (packed plans collapse to a single wire segment),
+		// while the streaming pipeline can coalesce layers into buckets along
+		// the same boundaries.
+		plan := comm.Plan{LayerBytes: rc.plan.LayerBytes, Packed: true}
+		cm := comm.NewCommunicator(topo, comm.CommConfig{
+			Parties: comm.Ranks(cfg.Workers), Plan: plan, Schedule: cfg.Schedule,
 		})
-	}
-
-	end := env.Run()
-	res := rc.finish("knl-cluster-easgd", end)
-	return res, nil
+		return rc.elasticRow(env, elasticProgram{topo: topo, endpoint: cm.Endpoint, plan: plan,
+			overlap: cfg.Overlap, procName: "knl-rank%d", cat: CatGPUGPUParam, masterExtra: rc.masterUpdate})
+	})
 }
 
 // KNLClusterWeakScaling runs the Algorithm 4 rank program in size-only
@@ -184,9 +69,8 @@ func KNLClusterWeakScaling(nodes int, paramBytes int64, computePerIter float64, 
 	env := sim.NewEnv()
 	defer env.Close()
 	topo := comm.NewUniform(env, nodes, fabric)
-	parties := comm.Ranks(nodes)
 	cm := comm.NewCommunicator(topo, comm.CommConfig{
-		Parties: parties,
+		Parties: comm.Ranks(nodes),
 		Plan:    comm.Plan{LayerBytes: []int64{paramBytes}, Packed: true},
 	})
 	for id := 0; id < nodes; id++ {

@@ -8,6 +8,26 @@
 // hardware models of internal/hw (so the time axis reflects the paper's
 // platforms rather than this machine).
 //
+// The coordinated methods share one rank program (step.go): one simulated
+// process per rank and one step frame — membership, fault stall, data copy,
+// compute, exchange, update, rank-0 bookkeeping, iteration barrier, byte
+// attribution, stop check — with three seams a method fills as a row of
+// function values:
+//
+//	method             compute            exchange                              update
+//	sync-easgd1/2/3    whole gradient     elasticCenter (Bcast W̄ + Reduce ΣW)   Eq. (1) + Eq. (2)
+//	knl-cluster-easgd  whole gradient     elasticCenter over the fabric         Eq. (1) + Eq. (2)
+//	sync-sgd           whole | streamed   gradExchange (dense/ranges/factors/K) averaged SGD
+//	hier-sync-sgd      whole | streamed   gradExchange, hierarchical endpoint   averaged SGD
+//	hier-sync-easgd    whole gradient     elasticCenter per node; leaders'      local SGD; elastic pull +
+//	                                      fabric allreduce                      group and global Eq. (2)
+//
+// The asynchronous family (async.go) and round-robin (roundrobin.go) are
+// master/worker programs of a different shape and stay outside the frame.
+// Which method honors which knob is the one table in support.go, consulted
+// before a run touches any process state; every refusal is an
+// *UnsupportedError.
+//
 // Beyond the paper's fault-free runs, Config.Faults (FaultPlan) and
 // Platform.LinkScale open the failure-scenario space in two tiers. The
 // timing-only knobs — per-worker compute heterogeneity, straggler
@@ -89,32 +109,15 @@ const (
 	numCategories
 )
 
+var categoryNames = [numCategories]string{"gpu-gpu para", "cpu-gpu data", "cpu-gpu para", "for/backward",
+	"gpu update", "cpu update", "recovery", "retry", "dropped", "sfb recon"}
+
 // String returns the Table 3 column name for the category.
 func (c Category) String() string {
-	switch c {
-	case CatGPUGPUParam:
-		return "gpu-gpu para"
-	case CatCPUGPUData:
-		return "cpu-gpu data"
-	case CatCPUGPUParam:
-		return "cpu-gpu para"
-	case CatForwardBackward:
-		return "for/backward"
-	case CatGPUUpdate:
-		return "gpu update"
-	case CatCPUUpdate:
-		return "cpu update"
-	case CatRecovery:
-		return "recovery"
-	case CatRetry:
-		return "retry"
-	case CatDropped:
-		return "dropped"
-	case CatSFBRecon:
-		return "sfb recon"
-	default:
+	if c < 0 || c >= numCategories {
 		return fmt.Sprintf("Category(%d)", int(c))
 	}
+	return categoryNames[c]
 }
 
 // Categories lists all breakdown categories in Table 3 column order.

@@ -22,8 +22,11 @@ import (
 // sums. The drop log lands in Result.Dropped and rank 0's deadline wait in
 // CatDropped.
 
-// partialAgg is the shared state of the gather; one per run, driven
-// through per-rank partialEndpoint handles that satisfy gradAllReducer.
+// partialAgg is the shared state of the gather; one per run. It is an
+// exchange of the step frame (gradExchange's in-line collective), not a fake
+// endpoint: it neither streams ranges nor gathers factors, and the support
+// table refuses PartialK with Overlap or a factor CommMode before a run
+// starts.
 type partialAgg struct {
 	rc   *runContext
 	topo *comm.Topology
@@ -41,6 +44,9 @@ type partialAgg struct {
 
 func newPartialAgg(rc *runContext, topo *comm.Topology, wire comm.WireFunc) *partialAgg {
 	cfg := rc.cfg
+	if cfg.Faults.PartialK == 0 {
+		return nil
+	}
 	n := len(rc.center)
 	wb := int64(n) * 4
 	if wire != nil {
@@ -176,32 +182,3 @@ func (pa *partialAgg) markDead(rank int) {
 	pa.dead[rank] = true
 	pa.topo.MarkDead(rank)
 }
-
-// endpoints returns the per-rank gradAllReducer handles the worker loop
-// drives.
-func (pa *partialAgg) endpoints() []gradAllReducer {
-	eps := make([]gradAllReducer, pa.n)
-	for i := range eps {
-		eps[i] = partialEndpoint{pa: pa, rank: i}
-	}
-	return eps
-}
-
-type partialEndpoint struct {
-	pa   *partialAgg
-	rank int
-}
-
-func (ep partialEndpoint) AllReduce(p *sim.Proc, round int, buf []float32) {
-	ep.pa.allReduce(p, round, ep.rank, buf)
-}
-
-func (ep partialEndpoint) AllReduceRange(p *sim.Proc, round int, buf []float32, lo, hi int) {
-	panic("core: partial aggregation does not stream (PartialK is incompatible with Overlap)")
-}
-
-func (ep partialEndpoint) FactorAllGather(p *sim.Proc, round int, self comm.Factors, out []comm.Factors) []comm.Factors {
-	panic("core: partial aggregation does not gather factors (PartialK is incompatible with the sfb/hybrid comm modes)")
-}
-
-func (ep partialEndpoint) MarkDead(rank int) { ep.pa.markDead(rank) }

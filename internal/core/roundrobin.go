@@ -58,11 +58,9 @@ const tagRRCenter = 3
 
 func runRoundRobin(cfg Config, name string, overlap bool) (Result, error) {
 	// The master's ordered pulls ride DelayModel, outside comm's guarded
-	// message path — semantic faults cannot be injected here.
-	if err := cfg.Faults.requireTimingOnly(name); err != nil {
-		return Result{}, err
-	}
-	rc, err := newRunContext(cfg)
+	// message path — semantic faults cannot be injected here, and the
+	// support table refuses them.
+	rc, err := newRunContext(name, cfg)
 	if err != nil {
 		return Result{}, err
 	}
@@ -85,7 +83,7 @@ func runRoundRobin(cfg Config, name string, overlap bool) (Result, error) {
 	// (elastic) one: delta codecs per directed stream.
 	codecs := newPSCodecs(cfg, len(rc.center), true)
 	up, down := codecs.upW, codecs.down
-	stream := rc.newStream(rc.plan)
+	stream := rc.newStream(rc.plan, nil)
 	nb := stream.bz.NumBuckets()
 
 	// Workers: wait for a center-weight message, run one real minibatch
@@ -127,7 +125,7 @@ func runRoundRobin(cfg Config, name string, overlap bool) (Result, error) {
 							d.loss = w.lastLoss
 						}
 						done[j].Send(d)
-					})
+					}, nil)
 				} else {
 					join := w.beginGradient()
 					p.Delay(rc.computeDelay(j, step))

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -256,41 +258,49 @@ func TestChaosAcceptanceScenario(t *testing.T) {
 // reject semantic knobs instead of silently ignoring them; the collective
 // families reject only the membership-changing knobs they cannot honor.
 func TestSemanticKnobsRejectedWhereUnsupported(t *testing.T) {
+	// refused asserts the typed refusal: an *UnsupportedError naming the
+	// method and the knob column of the support table.
+	refused := func(what string, err error, method, knob string) {
+		t.Helper()
+		var ue *UnsupportedError
+		if !errors.As(err, &ue) {
+			t.Errorf("%s: want *UnsupportedError, got %v", what, err)
+		} else if ue.Method != method || ue.Knob != knob {
+			t.Errorf("%s: refusal names %s × %s, want %s × %s", what, ue.Method, ue.Knob, method, knob)
+		}
+	}
 	cases := []struct {
 		method string
 		faults FaultPlan
+		knob   string
 	}{
-		{"async-sgd", FaultPlan{LossRate: 0.1}},
-		{"hogwild-easgd", FaultPlan{CorruptRate: 0.1}},
-		{"original-easgd*", FaultPlan{LossRate: 0.1}},
-		{"async-sgd", FaultPlan{FailMode: FailContinue, FailRank: 1, FailAtStep: 5}},
-		{"sync-easgd3", FaultPlan{FailMode: FailContinue, FailRank: 1, FailAtStep: 5}},
-		{"sync-easgd3", FaultPlan{PartialK: 2}},
+		{"async-sgd", FaultPlan{LossRate: 0.1}, "loss"},
+		{"hogwild-easgd", FaultPlan{CorruptRate: 0.1}, "loss"},
+		{"original-easgd*", FaultPlan{LossRate: 0.1}, "loss"},
+		{"async-sgd", FaultPlan{FailMode: FailContinue, FailRank: 1, FailAtStep: 5}, "fail-continue"},
+		{"sync-easgd3", FaultPlan{FailMode: FailContinue, FailRank: 1, FailAtStep: 5}, "fail-continue"},
+		{"sync-easgd3", FaultPlan{PartialK: 2}, "partial-k"},
 	}
 	for _, c := range cases {
 		cfg := testConfig(t, 5, true)
 		cfg.Faults = c.faults
-		if _, err := Methods[c.method](cfg); err == nil {
-			t.Errorf("%s accepted %+v", c.method, c.faults)
-		}
+		_, err := Methods[c.method](cfg)
+		refused(fmt.Sprintf("%s with %+v", c.method, c.faults), err, c.method, c.knob)
 	}
 
 	hier := testConfig(t, 5, true)
 	hier.Nodes, hier.GPUsPerNode = 2, 2
 	hier.Faults = FaultPlan{PartialK: 2}
-	if _, err := HierSyncSGD(hier); err == nil {
-		t.Error("hier-sync-sgd accepted partial aggregation")
-	}
+	_, err := HierSyncSGD(hier)
+	refused("hier-sync-sgd with partial aggregation", err, "hier-sync-sgd", "partial-k")
 	hier.Faults = FaultPlan{LossRate: 0.1, BadLinks: []BadLink{{From: 0, To: 1, Loss: 0.1}}}
-	if _, err := HierSyncSGD(hier); err == nil {
-		t.Error("hier-sync-sgd accepted BadLinks")
-	}
+	_, err = HierSyncSGD(hier)
+	refused("hier-sync-sgd with BadLinks", err, "hier-sync-sgd", "bad-links")
 	overlap := testConfig(t, 5, true)
 	overlap.Overlap = true
 	overlap.Faults = FaultPlan{PartialK: 2}
-	if _, err := SyncSGD(overlap); err == nil {
-		t.Error("sync-sgd accepted PartialK with Overlap")
-	}
+	_, err = SyncSGD(overlap)
+	refused("sync-sgd with PartialK and Overlap", err, "sync-sgd", "partial-k+overlap")
 }
 
 // Semantic-knob validation, including the unconditional FailRank bound: a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -346,7 +347,9 @@ func TestCommModeParsingAndValidation(t *testing.T) {
 		}
 	}
 
-	bad := func(mut func(*Config), wantSub string) {
+	// wantKnob names the support-table column of a typed refusal; "" means a
+	// plain validation error.
+	bad := func(mut func(*Config), wantSub, wantKnob string) {
 		t.Helper()
 		cfg := testConfig(t, 2, true)
 		cfg.CommMode = CommSFB
@@ -355,13 +358,17 @@ func TestCommModeParsingAndValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), wantSub) {
 			t.Errorf("want error containing %q, got %v", wantSub, err)
 		}
+		var ue *UnsupportedError
+		if errors.As(err, &ue) != (wantKnob != "") || (ue != nil && ue.Knob != wantKnob) {
+			t.Errorf("want refusal of knob %q, got %v", wantKnob, err)
+		}
 	}
-	bad(func(c *Config) { c.Compression = quant.OneBit }, "compression")
-	bad(func(c *Config) { c.Faults.PartialK = 2 }, "partial aggregation")
+	bad(func(c *Config) { c.Compression = quant.OneBit }, "compression", "comm-mode+compression")
+	bad(func(c *Config) { c.Faults.PartialK = 2 }, "partial aggregation", "comm-mode+partial-k")
 	bad(func(c *Config) {
 		c.Faults.FailMode = FailContinue
 		c.Faults.FailAtStep = 1
 		c.Faults.FailRank = 1
-	}, "fail-continue")
-	bad(func(c *Config) { c.CommMode = CommMode(99) }, "comm mode")
+	}, "fail-continue", "comm-mode+fail-continue")
+	bad(func(c *Config) { c.CommMode = CommMode(99) }, "comm mode", "")
 }

@@ -55,16 +55,11 @@ type streamPlan struct {
 	wholeModel bool
 }
 
-// newStream builds the streaming plan for a communicator plan.
-func (rc *runContext) newStream(plan comm.Plan) *streamPlan {
-	return rc.newStreamMasked(plan, nil)
-}
-
-// newStreamMasked builds the streaming plan with some plan segments masked
-// out of the bucket stream — the hybrid comm mode's SFB layers, whose
-// factors ride their own collective and fire through walkHybrid's onFactor
-// instead of completing a bucket.
-func (rc *runContext) newStreamMasked(plan comm.Plan, skip []bool) *streamPlan {
+// newStream builds the streaming plan for a communicator plan. A non-nil
+// skip masks plan segments out of the bucket stream — the hybrid comm mode's
+// SFB layers, whose factors ride their own collective and fire through
+// walk's onFactor instead of completing a bucket.
+func (rc *runContext) newStream(plan comm.Plan, skip []bool) *streamPlan {
 	if len(plan.LayerBytes) == 0 {
 		// A parameter-free model moves no gradients; stream one empty
 		// bucket so the pipeline shape (and round numbering) still holds.
@@ -112,18 +107,14 @@ func (rc *runContext) newStreamMasked(plan comm.Plan, skip []bool) *streamPlan {
 // scale stretches the whole walk uniformly (1 for nominal speed) — the
 // fault model's heterogeneity and straggler factors slow forward and
 // backward alike, so bucket-ready instants shift proportionally.
-func (sp *streamPlan) walk(p *sim.Proc, w *worker, scale float64, onBucket func(b int, bk comm.Bucket)) float64 {
-	return sp.walkHybrid(p, w, scale, onBucket, nil)
-}
-
-// walkHybrid is walk with a second emission channel for masked segments:
-// a plan segment the bucketizer skipped (an SFB layer of the hybrid comm
-// mode) belongs to no bucket, so its gradient-ready event fires onFactor at
-// the layer's own ready instant — same clock formula as a bucket completion
-// — handing the caller the event (whose DY/X factor views are live) to
-// launch the factor collective. onFactor may be nil when no segment is
-// masked.
-func (sp *streamPlan) walkHybrid(p *sim.Proc, w *worker, scale float64, onBucket func(b int, bk comm.Bucket), onFactor func(seg int, e nn.GradEvent)) float64 {
+//
+// Masked segments have a second emission channel: a plan segment the
+// bucketizer skipped (an SFB layer of the hybrid comm mode) belongs to no
+// bucket, so its gradient-ready event fires onFactor at the layer's own ready
+// instant — same clock formula as a bucket completion — handing the caller
+// the event (whose DY/X factor views are live) to launch the factor
+// collective. onFactor may be nil when no segment is masked.
+func (sp *streamPlan) walk(p *sim.Proc, w *worker, scale float64, onBucket func(b int, bk comm.Bucket), onFactor func(seg int, e nn.GradEvent)) float64 {
 	compute := sp.compute * scale
 	fwd := sp.fwd * scale
 	w.recordEvents = !sp.wholeModel
@@ -193,22 +184,6 @@ func (sp *streamPlan) forkBroadcasts(crew *bucketCrew, prefix string, base, root
 			ep.BroadcastRange(bp, base+b, root, buf, bk.Lo, bk.Hi)
 		})
 	}
-}
-
-// chargeOverlap attributes one overlapped phase at the coordinating rank:
-// of the wall segment d, everything beyond the busy path is exposed
-// communication (charged to cat), and the crew's active seconds beyond that
-// exposed share ran hidden beneath the busy path (HiddenComm). Passing
-// active = 0 degrades to plain exposed-excess accounting, so overlapped and
-// monolithic variants share one formula.
-func (rc *runContext) chargeOverlap(cat Category, d, busy, active float64) {
-	exposed := d - busy
-	if exposed > 0 {
-		rc.bd.Add(cat, exposed)
-	} else {
-		exposed = 0
-	}
-	rc.bd.AddHidden(active - exposed)
 }
 
 // bucketCrew tracks one worker's in-flight bucket transfers within an

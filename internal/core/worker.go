@@ -52,7 +52,7 @@ type runContext struct {
 	// commSel holds the hybrid-communication selector's per-layer transport
 	// decisions when cfg.CommMode is sfb or hybrid (nil in dense mode); the
 	// allreduce methods route each plan segment by it (see hybrid.go and
-	// runSyncSGDWorkers).
+	// gradRow).
 	commSel *HybridSelector
 	// layerFlops holds the per-layer forward FLOP counts of the model and
 	// paramLayers the nn layer index of each plan segment (the parameter
@@ -96,12 +96,14 @@ type runContext struct {
 	failedRank  int
 }
 
-// newRunContext validates cfg, builds P workers with private seeds, and
+// newRunContext validates cfg for method, builds P workers with private seeds, and
 // precomputes the platform's per-operation costs. Callers must use rc.cfg
 // from here on: Validate fills in defaults (such as ρ) that the caller's
 // copy does not have.
-func newRunContext(cfg Config) (*runContext, error) {
-	if err := cfg.Validate(); err != nil {
+func newRunContext(method string, cfg Config) (*runContext, error) {
+	// Validation and the method × knob support table run before anything
+	// global is touched: a refused config leaves no trace.
+	if err := cfg.validateFor(method); err != nil {
 		return nil, err
 	}
 	rc := &runContext{cfg: cfg, failedRank: -1}
@@ -229,9 +231,6 @@ func (w *worker) quantizeGrads(q *quant.Quantizer) int64 {
 	return int64(len(w.net.Grads)) * 4
 }
 
-// sgdLocal applies plain SGD to the worker replica: W ← W − η·G.
-func (w *worker) sgdLocal(lr float32) { w.net.SGDStep(lr) }
-
 // elasticLocal applies the paper's Equation (1):
 // W_i ← W_i − η(∆W_i + ρ(W_i − W̄)).
 func (w *worker) elasticLocal(lr, rho float32, center []float32) {
@@ -245,31 +244,15 @@ func (w *worker) elasticLocal(lr, rho float32, center []float32) {
 // momentumElasticLocal applies Equations (5) and (6):
 // V ← µV − η∆W;  W ← W + V − ηρ(W − W̄).
 func (w *worker) momentumElasticLocal(lr, mu, rho float32, center []float32) {
-	w.ensureVelocity()
+	if w.velocity == nil {
+		w.velocity = make([]float32, len(w.net.Params))
+	}
 	p := w.net.Params
 	g := w.net.Grads
 	v := w.velocity
 	for i := range p {
 		v[i] = mu*v[i] - lr*g[i]
 		p[i] += v[i] - lr*rho*(p[i]-center[i])
-	}
-}
-
-// momentumLocal applies Equations (3) and (4): V ← µV − η∆W; W ← W + V.
-func (w *worker) momentumLocal(lr, mu float32) {
-	w.ensureVelocity()
-	p := w.net.Params
-	g := w.net.Grads
-	v := w.velocity
-	for i := range p {
-		v[i] = mu*v[i] - lr*g[i]
-		p[i] += v[i]
-	}
-}
-
-func (w *worker) ensureVelocity() {
-	if w.velocity == nil {
-		w.velocity = make([]float32, len(w.net.Params))
 	}
 }
 
@@ -284,17 +267,10 @@ func centerElasticUpdate(center, wParams, snap []float32, lr, rho float32) {
 	}
 }
 
-// centerSGDUpdate applies W̄ ← W̄ − η·∆W.
-func centerSGDUpdate(center, grad []float32, lr float32) {
-	tensor.AXPY(-lr, grad, center)
-}
-
-// recordPoint probes test accuracy with the current center weights and
-// reports whether the run's accuracy target has been met.
-func (rc *runContext) recordPoint(iter int, simTime float64, loss float64) (stop bool) {
-	if rc.cfg.EvalEvery <= 0 {
-		return false
-	}
+// recordPoint probes test accuracy with the current center weights (callers
+// gate on Config.EvalEvery) and raises rc.stopped once the run's accuracy
+// target has been met.
+func (rc *runContext) recordPoint(iter int, simTime float64, loss float64) {
 	acc := rc.evalCenter()
 	rc.curve = append(rc.curve, Point{
 		Iter:    iter,
@@ -305,7 +281,6 @@ func (rc *runContext) recordPoint(iter int, simTime float64, loss float64) (stop
 	if rc.cfg.TargetAcc > 0 && acc >= rc.cfg.TargetAcc {
 		rc.stopped = true
 	}
-	return rc.stopped
 }
 
 // evalCenter evaluates the center weight on the test set (0 if none).

@@ -242,6 +242,16 @@ func WeakScalingEfficiency(model string, nodes int) (float64, error) {
 // Retrieve it with errors.As to list the allowed values programmatically.
 type ParseError = parse.Error
 
+// UnsupportedError is what Train (and Config.Validate) return when a method
+// is asked for a knob it cannot honor — semantic faults on a method whose
+// parameter traffic bypasses the guarded message path, PartialK with
+// Overlap, a factor CommMode with Compression, a hierarchical method on a
+// flat config. It names the Method, the Knob (the column of the support
+// matrix in the README) and the Reason; retrieve it with errors.As. The
+// check runs before a run touches any process state, so a refused config
+// leaves no trace.
+type UnsupportedError = core.UnsupportedError
+
 // CompressionScheme selects low-precision gradient transmission for
 // Config.Compression (§3.4's future-work direction): quant.None,
 // quant.OneBit (1-bit SGD with error feedback) or quant.Uniform8.

@@ -80,6 +80,25 @@ func TestTrainUnknownMethod(t *testing.T) {
 	}
 }
 
+// A knob the method cannot honor comes back through the facade as a typed
+// *UnsupportedError naming the method and the support-matrix column.
+func TestTrainUnsupportedKnob(t *testing.T) {
+	train, _ := SyntheticMNIST(1, 64, 8)
+	cfg := Config{
+		Def: TinyCNN(Shape{C: 1, H: 28, W: 28}, 10), Train: train,
+		Workers: 4, Batch: 4, LR: 0.05, Iterations: 2, Seed: 1, Platform: DefaultGPUPlatform(true),
+		Overlap: true, Faults: FaultPlan{PartialK: 2},
+	}
+	_, err := Train("sync-sgd", cfg)
+	var ue *UnsupportedError
+	if !errors.As(err, &ue) {
+		t.Fatalf("want *UnsupportedError, got %v", err)
+	}
+	if ue.Method != "sync-sgd" || ue.Knob != "partial-k+overlap" || ue.Reason == "" {
+		t.Errorf("refusal %+v", ue)
+	}
+}
+
 func TestMethodsList(t *testing.T) {
 	ms := Methods()
 	if len(ms) != 14 {
