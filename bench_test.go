@@ -1,7 +1,7 @@
 package scaledl
 
-// One benchmark per table and figure of the paper's evaluation (deliverable
-// (d) of DESIGN.md), plus micro-benchmarks of the substrates. Each
+// One benchmark per table and figure of the paper's evaluation, plus
+// micro-benchmarks of the substrates. Each
 // experiment benchmark regenerates its artifact through the harness and
 // reports the headline quantity as a custom metric; run
 //

@@ -43,8 +43,8 @@
 //     exact-dimension cost tables for AlexNet (61.0M parameters), VGG-19
 //     (143.7M) and GoogleNet (7.0M);
 //   - seeded synthetic MNIST/CIFAR/ImageNet-shaped datasets (the real
-//     downloads are unavailable offline; DESIGN.md documents the
-//     substitution);
+//     downloads are unavailable offline, so content is generated:
+//     same geometry, learnable, a pure function of the seed);
 //   - a deterministic discrete-event simulator with α-β network models
 //     (Table 2's InfiniBand constants), GPU/PCIe and KNL/Aries hardware
 //     models, MCDRAM modes and cluster modes;
@@ -115,8 +115,13 @@
 //     (dense, bucketed ranges, factor allgathers, or the partial-K
 //     gather; sync-sgd and hier-sync-sgd), the group leaders' fabric
 //     allreduce (hier-sync-easgd). update: Equations (1)+(2), the averaged
-//     SGD step, local SGD and the elastic pull. The asynchronous family
-//     and round-robin keep their master/worker programs. Which method
+//     SGD step, local SGD and the elastic pull. The paper's baselines —
+//     the six parameter-server methods and the two Original EASGD
+//     schedules — are rows of a second, served frame in the same file (a
+//     master loop with FIFO or per-arrival handler dispatch and stop
+//     sentinels, unbounded worker loops, the same compute seams, a
+//     push/pull seam), charged through the same root-gated helpers, so
+//     Breakdown sums to SimTime for all fifteen methods. Which method
 //     honors which fault or transport knob is one method × knob table
 //     consulted before a run touches any process state; a refused pair is
 //     a typed *UnsupportedError;

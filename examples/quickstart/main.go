@@ -13,8 +13,8 @@ import (
 )
 
 func main() {
-	// Synthetic MNIST-shaped data (the real dataset is substituted per
-	// DESIGN.md; geometry and learnability match).
+	// Synthetic MNIST-shaped data: the real dataset cannot be downloaded
+	// offline; geometry and learnability match.
 	train, test := scaledl.SyntheticMNIST(1, 2048, 512)
 
 	cfg := scaledl.Config{

@@ -192,27 +192,6 @@ func TestAsyncEASGDOverlapBeatsAsyncSGD(t *testing.T) {
 	}
 }
 
-func TestBreakdownSumsToWallForCoordinatedMethods(t *testing.T) {
-	// For the round-robin and sync algorithms the breakdown uses exposed
-	// (critical-path) accounting from the coordinator, so the category sum
-	// must equal the simulated wall time.
-	for _, name := range []string{"original-easgd*", "sync-easgd1", "sync-easgd2", "sync-easgd3", "sync-sgd"} {
-		cfg := testConfig(t, 20, true)
-		if name == "original-easgd*" {
-			cfg.Platform = DefaultGPUPlatform(false)
-			cfg.Iterations = 80
-		}
-		res, err := Methods[name](cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := res.Breakdown.Total()
-		if rel := math.Abs(sum-res.SimTime) / res.SimTime; rel > 0.02 {
-			t.Errorf("%s: breakdown sum %.5f vs wall %.5f (rel %.3f)", name, sum, res.SimTime, rel)
-		}
-	}
-}
-
 // realisticConfig is a LeNet-regime setup: 28×28 inputs and batch 32 put
 // per-iteration compute in the hundreds of microseconds, the regime where
 // Table 3's comm-versus-compute shares are meaningful. (The toy 12×12 config

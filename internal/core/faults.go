@@ -5,7 +5,6 @@ import (
 
 	"scaledl/internal/comm"
 	"scaledl/internal/parse"
-	"scaledl/internal/sim"
 )
 
 // FaultPlan opens the failure-scenario space around the paper's fault-free
@@ -352,21 +351,15 @@ func (rc *runContext) faultStall(id, s int) float64 {
 	return d
 }
 
-// injectFaults delays p by worker id's fault stall at step s, if any. The
-// stall is charged to CatRecovery from rank 0 only — the breakdown is the
-// coordinating rank's exposed-time accounting, and a remote rank's stall
-// already reaches rank 0 as collective or barrier wait. Runs whose
-// coordinator is not a worker (the round-robin master, which charges its
-// wait for every worker as exposed compute) clear chargeRecovery so the
-// stall is not counted twice; there it surfaces in the master's wait.
-func (rc *runContext) injectFaults(p *sim.Proc, id, s int) {
-	if !rc.faultsOn {
+// stall delays this rank by its fault stall at the start of step t, if any.
+// Like every second of a run it is charged from the row's root only — the
+// Breakdown is the root's clock, and a remote rank's stall already reaches it
+// as the wait (collective, barrier, completion) the root charges elsewhere.
+func (st *step) stall() {
+	if !st.rc.faultsOn {
 		return
 	}
-	if d := rc.faultStall(id, s); d > 0 {
-		p.Delay(d)
-		if id == 0 && rc.chargeRecovery {
-			rc.bd.Add(CatRecovery, d)
-		}
+	if d := st.rc.faultStall(st.rank, st.t+1); d > 0 {
+		st.spend(CatRecovery, d)
 	}
 }

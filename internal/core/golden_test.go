@@ -198,7 +198,11 @@ func TestGoldenSimulatedClock(t *testing.T) {
 		if _, dup := got[gc.name]; dup {
 			t.Fatalf("duplicate battery row %q", gc.name)
 		}
-		got[gc.name] = clockOf(runGolden(t, gc))
+		res := runGolden(t, gc)
+		if sum := res.Breakdown.Total(); math.Abs(sum-res.SimTime) > 1e-9*res.SimTime {
+			t.Errorf("%s: breakdown sums to %v, wall %v", gc.name, sum, res.SimTime)
+		}
+		got[gc.name] = clockOf(res)
 	}
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", " ")

@@ -53,7 +53,7 @@ func hierSetup(rc *runContext, env *sim.Env, plan comm.Plan, wire comm.WireFunc,
 // loss/corruption and fail-continue ride the same guarded collective path as
 // the flat run.
 func HierSyncSGD(cfg Config) (Result, error) {
-	return runCoordinated("hier-sync-sgd", cfg, func(rc *runContext, env *sim.Env) program {
+	return runRow("hier-sync-sgd", cfg, func(rc *runContext, env *sim.Env) frame {
 		plan, wire, quantizers := rc.syncSGDWire()
 		ml, hc := hierSetup(rc, env, plan, wire, true)
 		topo, rootNode := ml.Topology(), ml.GlobalID(0, 0)
@@ -69,7 +69,7 @@ func HierSyncSGD(cfg Config) (Result, error) {
 // (refreshed from group 0's view between global syncs, so accuracy probes
 // track training between fabric rounds).
 func HierSyncEASGD(cfg Config) (Result, error) {
-	return runCoordinated("hier-sync-easgd", cfg, func(rc *runContext, env *sim.Env) program {
+	return runRow("hier-sync-easgd", cfg, func(rc *runContext, env *sim.Env) frame {
 		cfg := rc.cfg
 		// Group syncs ride peer DMA inside each node (the EASGD2/3 transfer
 		// mode); center syncs ride the fabric between leaders.
@@ -150,8 +150,15 @@ func HierSyncEASGD(cfg Config) (Result, error) {
 						}})
 				}
 				if cfg.EvalEvery > 0 {
-					stages = append(stages, stage{every: cfg.EvalEvery,
-						exchange: func(st *step) { st.p.Wait(evalBar) }, update: idle})
+					stages = append(stages, stage{every: cfg.EvalEvery, update: idle,
+						exchange: func(st *step) {
+							// Free among ranks in lockstep; behind a straggler the
+							// root waits here, and that is drain like the
+							// iteration barrier's.
+							tB := st.p.Now()
+							st.p.Wait(evalBar)
+							st.charge(CatCPUGPUParam, st.p.Now()-tB)
+						}})
 				}
 				return rankProgram{name: fmt.Sprintf("node%d.gpu%d", g, local),
 					compute: rc.wholeGradient(w), stages: stages}

@@ -36,7 +36,7 @@ type KNLClusterConfig struct {
 // The chip-local partition sums bypass the guarded message path, so the
 // support table admits only timing faults here.
 func KNLClusterEASGD(kcfg KNLClusterConfig) (Result, error) {
-	return runCoordinated("knl-cluster-easgd", kcfg.Config, func(rc *runContext, env *sim.Env) program {
+	return runRow("knl-cluster-easgd", kcfg.Config, func(rc *runContext, env *sim.Env) frame {
 		cfg := rc.cfg
 		fabric := kcfg.Fabric
 		if fabric == nil {

@@ -22,8 +22,22 @@
 //	hier-sync-easgd    whole gradient     elasticCenter per node; leaders'      local SGD; elastic pull +
 //	                                      fabric allreduce                      group and global Eq. (2)
 //
-// The asynchronous family (async.go) and round-robin (roundrobin.go) are
-// master/worker programs of a different shape and stay outside the frame.
+// The paper's baselines — the six parameter-server methods (async.go) and the
+// two Original EASGD schedules (roundrobin.go) — share the second frame, the
+// served master/worker program (step.go): a master loop with FIFO or
+// per-arrival handler dispatch and stop sentinels, an unbounded worker loop,
+// the same compute seams, and a push/pull seam:
+//
+//	method                 arrival              worker step               master service
+//	async-sgd, async-msgd  FIFO, locked         compute → push ∆W → pull  (M)SGD step, reply W̄
+//	hogwild-sgd            FIFO, handler each   as async-sgd              as async-sgd, concurrently
+//	async-easgd, -measgd   FIFO, locked         push W → compute → pull,  Eq. (2), reply W̄
+//	                                            then Eq. (1) or (5)-(6)
+//	hogwild-easgd          FIFO, handler each   as async-easgd            Eq. (2) on a stale center
+//	original-easgd*        rank order           await W̄ → compute →       data copy, send W̄, then
+//	                                            post W → Eq. (1)          pull W_j + Eq. (2) at once
+//	original-easgd         rank order           as original-easgd*        … pull W_j + Eq. (2) G turns later
+//
 // Which method honors which knob is the one table in support.go, consulted
 // before a run touches any process state; every refusal is an
 // *UnsupportedError.
@@ -82,9 +96,8 @@ const (
 	// reload-plus-replay stall after a fail-stop (FaultPlan). Not a Table 3
 	// column — the paper's runs are fault-free — but charged through the
 	// same exposed accounting so faulty runs still sum to wall time. It is
-	// charged from the coordinating rank's own stalls; a *remote* rank's
-	// stall reaches the coordinator as collective or barrier wait and lands
-	// in the category that wait is charged to.
+	// the root's own stalls; a *remote* process's stall reaches the root as
+	// a wait and lands in the category that wait is charged to (Breakdown).
 	CatRecovery
 	// CatRetry is the coordinating rank's time lost to semantic message
 	// faults as a sender: wasted wire time of lost or corrupted attempts
@@ -129,22 +142,43 @@ func Categories() []Category {
 	return cs
 }
 
-// Breakdown accumulates exposed (critical-path) time per category, as seen
-// from the coordinating process, so the parts sum to the simulated wall
-// time just as the paper's Table 3 percentages sum to 100%. Bytes counts
-// the wire traffic of each category — *all* bytes moved, including
-// transfers hidden under compute overlap, so compressed-gradient runs show
-// their full traffic reduction even where the time is already hidden.
+// Breakdown is one process's clock, split by category: every simulated second
+// between the start of the run and its end is charged to exactly one of
+// Times, so the parts sum to Result.SimTime for all fifteen methods just as
+// the paper's Table 3 percentages sum to 100% (TestSupportTable and
+// TestGoldenSimulatedClock hold every method and every golden row to 1e-9).
+//
+// Whose clock: each method's row names its root. For the coordinated methods
+// and the six parameter-server methods it is rank 0; for the two round-robin
+// schedules it is the master, which drives every transfer. Only the root
+// charges (step.charge is root-gated). What another process spends reaches
+// the root as a wait, and lands in the category that wait is charged to: a
+// remote rank's straggling as collective or barrier wait (parameter
+// communication), the parameter server's queue, update and reply as rank 0's
+// round-trip wait (cpu-gpu para), a round-robin worker's compute — and its
+// fault stall — as the master's wait for its completion (for/backward).
+//
+// Drain: the root can finish before the run does — a pipelined schedule's
+// tail hops, the other workers' last round trips, the stop sentinels. The
+// step frame charges the root's iteration-barrier wait, the served frame the
+// master's sentinels and the tail between the root's last instant and the
+// end of the run, all to the row's parameter-communication category.
+//
+// Exposed versus hidden: only communication the root actually waited for is
+// in Times; what ran beneath its compute is HiddenComm, outside the sum.
+// Bytes counts the wire traffic of each category — *all* bytes moved,
+// including transfers hidden under compute overlap, so compressed-gradient
+// runs show their full traffic reduction even where the time is already
+// hidden.
 type Breakdown struct {
 	Times [numCategories]float64
 	Bytes [numCategories]int64
 	// HiddenComm is communication time that ran concurrently with (and was
-	// hidden under) computation or other work on the critical path — the
-	// streaming pipeline's overlapped bucket collectives, Sync EASGD3's
-	// broadcast waves. It is a diagnostic alongside the exposed accounting,
-	// NOT part of Total(): the Times categories alone sum to wall-clock,
-	// with only the *exposed* (non-hidden) communication charged to the
-	// comm categories.
+	// hidden under) computation or other work on the root's clock — the
+	// streaming pipeline's overlapped bucket collectives and uploads, Sync
+	// EASGD3's broadcast waves, the parameter-server service an EASGD-style
+	// worker overlaps with its next gradient. It is a diagnostic alongside
+	// the exposed accounting, NOT part of Total().
 	HiddenComm float64
 }
 

@@ -42,8 +42,8 @@ var knobConfigs = [numKnobs]func(c *Config){
 }
 
 // TestSupportTable drives every cell of the method × knob table: a supported
-// cell runs to completion with its invariants (a finite loss; for the
-// coordinated methods a breakdown that sums to the simulated wall time), a
+// cell runs to completion with its invariants (a finite loss; a breakdown
+// that sums to the simulated wall time — both frames, all fifteen rows), a
 // refused cell returns an *UnsupportedError naming exactly that method and
 // knob — and leaves the process-wide GEMM precision alone, which a refusal
 // issued after the run context was built used to leak (SyncSGD with
@@ -90,20 +90,11 @@ func TestSupportTable(t *testing.T) {
 			if math.IsNaN(res.FinalLoss) || math.IsInf(res.FinalLoss, 0) {
 				t.Errorf("%s × %s: loss %v", method, knobs[k].name, res.FinalLoss)
 			}
-			if _, coordinated := coordinatedMethods[method]; coordinated {
-				if sum := res.Breakdown.Total(); math.Abs(sum-res.SimTime) > 1e-9*res.SimTime {
-					t.Errorf("%s × %s: breakdown sums to %v, wall %v", method, knobs[k].name, sum, res.SimTime)
-				}
+			if sum := res.Breakdown.Total(); math.Abs(sum-res.SimTime) > 1e-9*res.SimTime {
+				t.Errorf("%s × %s: breakdown sums to %v, wall %v", method, knobs[k].name, sum, res.SimTime)
 			}
 		}
 	}
-}
-
-// coordinatedMethods are the rows of the step frame: their Breakdown is the
-// coordinating rank's exposed time and sums to the simulated wall clock.
-var coordinatedMethods = map[string]struct{}{
-	"sync-sgd": {}, "sync-easgd1": {}, "sync-easgd2": {}, "sync-easgd3": {},
-	"hier-sync-sgd": {}, "hier-sync-easgd": {}, "knl-cluster-easgd": {},
 }
 
 // The anyMethod row — what Config.Validate refuses on its own — must be

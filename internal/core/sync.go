@@ -42,7 +42,7 @@ func SyncEASGD2(cfg Config) (Result, error) { return syncEASGD(cfg, "sync-easgd2
 func SyncEASGD3(cfg Config) (Result, error) { return syncEASGD(cfg, "sync-easgd3", false, true) }
 
 func syncEASGD(cfg Config, name string, cpuMaster, overlap bool) (Result, error) {
-	return runCoordinated(name, cfg, func(rc *runContext, env *sim.Env) program {
+	return runRow(name, cfg, func(rc *runContext, env *sim.Env) frame {
 		// Sync EASGD1 stages GPU↔GPU exchanges through the host (and keeps
 		// the center on the CPU); EASGD2/3 ride peer DMA through the switch.
 		topo := rc.cfg.Platform.topology(env, rc.cfg.Workers, cpuMaster)
@@ -123,17 +123,14 @@ func (rc *runContext) elasticRow(env *sim.Env, m elasticProgram) program {
 // error-feedback quantizers under Config.Compression.
 func (rc *runContext) syncSGDWire() (comm.Plan, comm.WireFunc, []*quant.Quantizer) {
 	cfg := rc.cfg
+	quantizers := perWorker(cfg, quant.New, len(rc.center))
 	if cfg.Compression == quant.None {
-		return rc.plan, nil, nil
+		return rc.plan, nil, quantizers
 	}
 	// Compressed gradients travel as one packed message (the residual
 	// layout of 1-bit SGD); each message's wire size is the scheme's.
 	plan := comm.Plan{LayerBytes: []int64{rc.paramBytes}, Packed: true}
 	wire := func(elems int) int64 { return quant.WireBytes(cfg.Compression, elems) }
-	quantizers := make([]*quant.Quantizer, cfg.Workers)
-	for i := range quantizers {
-		quantizers[i] = quant.New(cfg.Compression, len(rc.center))
-	}
 	return plan, wire, quantizers
 }
 
@@ -147,7 +144,7 @@ func (rc *runContext) syncSGDWire() (comm.Plan, comm.WireFunc, []*quant.Quantize
 // backward walk, so its wire time hides under the remaining backprop — same
 // schedule per bucket, reduced values bit-identical to the monolithic path.
 func SyncSGD(cfg Config) (Result, error) {
-	return runCoordinated("sync-sgd", cfg, func(rc *runContext, env *sim.Env) program {
+	return runRow("sync-sgd", cfg, func(rc *runContext, env *sim.Env) frame {
 		cfg := rc.cfg
 		topo := cfg.Platform.topology(env, cfg.Workers, true)
 		rc.installChaos(topo)
@@ -177,7 +174,7 @@ func (rc *runContext) gradRow(env *sim.Env, topo *comm.Topology, endpoint func(r
 	return program{topo: topo, dataXfer: rc.dataXfer, cat: CatCPUGPUParam, drainCat: CatCPUGPUParam,
 		rank: func(i int, st *step) rankProgram {
 			w := rc.workers[i]
-			x := &gradExchange{st: st, ep: endpoint(i), w: w, grads: w.net.Grads, q: codecAt(quantizers, i),
+			x := &gradExchange{st: st, ep: endpoint(i), w: w, grads: w.net.Grads, q: quantizers[i],
 				qStep: -1, hy: hy, outs: make([][]comm.Factors, nsfb), nb: nb, perIter: 1, retryWait: retryWait}
 			r := rankProgram{name: fmt.Sprintf("gpu%d", i), compute: rc.wholeGradient(w), markDead: x.ep.MarkDead}
 			exchange := x.inline

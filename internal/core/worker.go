@@ -74,11 +74,8 @@ type runContext struct {
 
 	// faultsOn gates the per-step fault hooks; ckptTime is the modeled cost
 	// of writing or reloading one model checkpoint over the data link.
-	// chargeRecovery (default true) lets rank 0's fault stalls be charged
-	// to CatRecovery; master-coordinated runs clear it (see injectFaults).
-	faultsOn       bool
-	ckptTime       float64
-	chargeRecovery bool
+	faultsOn bool
+	ckptTime float64
 
 	updates int64 // master-side updates performed
 	samples int64 // training samples consumed
@@ -157,7 +154,6 @@ func newRunContext(method string, cfg Config) (*runContext, error) {
 	rc.workerUpdate = cfg.Platform.Worker.ComputeTime(2*n, 12*n)
 	rc.masterUpdate = cfg.Platform.Master.ComputeTime(2*n, 12*n)
 	rc.faultsOn = cfg.Faults.enabled()
-	rc.chargeRecovery = true
 	if rc.faultsOn {
 		rc.ckptTime = dataLink.Time(rc.paramBytes)
 	}
@@ -204,21 +200,29 @@ func (w *worker) beginGradient() func() float64 {
 	}
 }
 
-// snapshotWeights returns a pre-update weight snapshot and its wire size:
-// the delta codec's reconstruction and compressed bytes when codec is
-// non-nil, a raw fp32 copy otherwise. It is the single payload-preparation
-// path of the weight-shipping algorithms (EASGD-style async, round-robin),
-// shared by their streamed and monolithic branches so the two can never
-// drift apart.
-func (w *worker) snapshotWeights(codec *quant.DeltaCodec) ([]float32, int64) {
-	snap := make([]float32, len(w.net.Params))
-	wire := int64(len(snap)) * 4
+// snapshot fills dst with src as its receiver will see it — the delta codec's
+// reconstruction when codec is non-nil, a raw fp32 copy otherwise — and
+// returns the wire size. It is the single payload-preparation path of every
+// weight stream (EASGD-style uploads, round-robin pulls, center replies).
+func snapshot(codec *quant.DeltaCodec, src, dst []float32) int64 {
 	if codec != nil {
-		wire = codec.Encode(w.net.Params, snap)
-	} else {
-		copy(snap, w.net.Params)
+		return codec.Encode(src, dst)
 	}
-	return snap, wire
+	copy(dst, src)
+	return int64(len(dst)) * 4
+}
+
+// perWorker builds one compression codec per worker stream (error-feedback
+// quantizers for gradient streams, delta codecs for weight streams); the
+// entries stay nil — raw fp32 — when the run is uncompressed.
+func perWorker[T any](cfg Config, mk func(quant.Scheme, int) *T, n int) []*T {
+	s := make([]*T, cfg.Workers)
+	for i := range s {
+		if cfg.Compression != quant.None {
+			s[i] = mk(cfg.Compression, n)
+		}
+	}
+	return s
 }
 
 // quantizeGrads applies the error-feedback quantizer in place (when q is

@@ -10,7 +10,7 @@ import (
 )
 
 // RunAblation isolates each co-design factor the paper stacks up in §5.2
-// and §6.1, plus two design-space studies DESIGN.md calls out:
+// and §6.1, plus two design-space studies:
 //
 //  1. step-by-step speedup of the Sync EASGD chain at equal sample budgets
 //     (tree reduction, then GPU-resident center, then overlap);

@@ -115,7 +115,7 @@ func RunTable3(o Options) (*Report, error) {
 		)
 	}
 	r.AddNote("paper (Table 3): comm ratio falls 87%% -> 14%%; Sync EASGD3 is 5.3x over Original EASGD at equal accuracy (0.988)")
-	r.AddNote("executed network is the TinyCNN LeNet stand-in (DESIGN.md); breakdown uses exposed-time accounting from the coordinator, as the paper does")
+	r.AddNote("executed network is the TinyCNN LeNet stand-in; breakdown is the root's exposed-time account (the round-robin master, rank 0 of the tree methods) and sums to the run's time in every row")
 	return r, nil
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // This file defines the shared workloads and platforms. The executed
-// networks are scaled-down stand-ins (documented in DESIGN.md) so that
+// networks are scaled-down stand-ins (nn.TinyCNN for LeNet-class nets) so that
 // thousands of real training iterations fit in seconds of host time; the
 // simulated platforms and, where relevant, the modeled footprints use the
 // paper's true dimensions.

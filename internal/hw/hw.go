@@ -6,8 +6,8 @@
 // throughput, transfers as α + bytes·β, and memory-bound phases as bytes
 // over the bandwidth of whichever memory level the working set fits in.
 //
-// None of this hardware exists in this environment; DESIGN.md documents the
-// simulation as the substitution for the paper's testbeds. The paper's
+// None of this hardware exists in this environment; the simulation stands in
+// for the paper's testbeds. The paper's
 // results are communication-structure results (Θ(log P) vs Θ(P), packed vs
 // per-layer messages, data placement, overlap), which are properties of
 // these cost models rather than of silicon.

@@ -13,8 +13,7 @@ type LayerCost struct {
 // (LeNet, CIFAR nets) derive it via Net.Cost; ImageNet-scale networks
 // (AlexNet, VGG-19, GoogleNet) are defined directly as tables with their
 // true published dimensions because training them for real in Go would take
-// weeks — exactly the substitution DESIGN.md documents. The paper itself
-// only reports time (not accuracy) at that scale.
+// weeks. The paper itself only reports time (not accuracy) at that scale.
 type ModelCost struct {
 	Name     string
 	Classes  int

@@ -32,8 +32,7 @@ func LeNet(in Shape, classes int) NetDef {
 // TinyCNN returns a small convnet that adapts to any input shape:
 // conv8-3/p1, relu, pool2, conv16-3/p1, relu, pool2, fc-classes. It is the
 // scaled-down stand-in used when experiments need thousands of real training
-// iterations in seconds of wall clock (the accuracy-versus-time figures);
-// DESIGN.md documents this substitution.
+// iterations in seconds of wall clock (the accuracy-versus-time figures).
 func TinyCNN(in Shape, classes int) NetDef {
 	return NetDef{
 		Name:    "tinycnn",

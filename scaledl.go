@@ -162,7 +162,7 @@ func VGG19Cost() ModelCost     { return nn.VGG19Cost() }
 func GoogleNetCost() ModelCost { return nn.GoogleNetCost() }
 
 // Datasets. The paper's Table 1 geometries with synthetic, learnable,
-// seeded content (see DESIGN.md for the substitution rationale).
+// seeded content (the real downloads are unavailable offline).
 
 // SyntheticMNIST returns normalized train/test sets with MNIST geometry
 // (1×28×28, 10 classes).
@@ -437,20 +437,8 @@ type Model = nn.Model
 func BuildModel(def NetDef, seed int64) *Model { return nn.NewModel(def.Build(seed)) }
 
 // LoadModel restores a model saved with Model.Save (either the fp32 v1
-// format SaveNet always wrote or the int8 v2 format quantized models
-// write).
+// format or the int8 v2 format quantized models write).
 func LoadModel(r io.Reader) (*Model, error) { return nn.LoadModel(r) }
-
-// SaveNet serializes a trained network (architecture + packed parameters).
-//
-// Deprecated: use Model.Save via Result.Model or NewModel; SaveNet leaks
-// the internal net type. The bytes written are identical.
-func SaveNet(n *nn.Net, w io.Writer) error { return n.Save(w) }
-
-// LoadNet restores a network saved with SaveNet.
-//
-// Deprecated: use LoadModel; it accepts the same snapshots.
-func LoadNet(r io.Reader) (*nn.Net, error) { return nn.Load(r) }
 
 // LRSchedule and the schedule types support the §7.2 retuning rules.
 type (

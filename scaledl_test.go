@@ -168,16 +168,16 @@ func TestKNLFacade(t *testing.T) {
 
 func TestExtensionsFacade(t *testing.T) {
 	// Save/Load round trip through the facade.
-	net := TinyCNN(Shape{C: 1, H: 8, W: 8}, 3).Build(5)
-	var buf strings.Builder
-	if err := SaveNet(net, &buf); err != nil {
+	model := BuildModel(TinyCNN(Shape{C: 1, H: 8, W: 8}, 3), 5)
+	var buf bytes.Buffer
+	if err := model.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadNet(strings.NewReader(buf.String()))
+	loaded, err := LoadModel(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.ParamCount() != net.ParamCount() {
+	if loaded.ParamCount() != model.ParamCount() {
 		t.Error("loaded model differs")
 	}
 
@@ -211,13 +211,13 @@ func TestExtensionsFacade(t *testing.T) {
 	}
 }
 
-// The Model facade and the deprecated SaveNet/LoadNet wrappers share one
-// snapshot format: the bytes are identical, so existing snapshots keep
-// loading through either door.
+// The Model facade writes the internal net's snapshot format unchanged: the
+// bytes are identical, so snapshots written before the facade existed keep
+// loading.
 func TestModelFacade(t *testing.T) {
 	def := TinyCNN(Shape{C: 1, H: 8, W: 8}, 3)
 	var old bytes.Buffer
-	if err := SaveNet(def.Build(5), &old); err != nil {
+	if err := def.Build(5).Save(&old); err != nil {
 		t.Fatal(err)
 	}
 	m := BuildModel(def, 5)
@@ -226,7 +226,7 @@ func TestModelFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(old.Bytes(), snap.Bytes()) {
-		t.Errorf("Model.Save bytes differ from SaveNet (%d vs %d bytes)", snap.Len(), old.Len())
+		t.Errorf("Model.Save bytes differ from nn.Net.Save (%d vs %d bytes)", snap.Len(), old.Len())
 	}
 
 	reloaded, err := LoadModel(bytes.NewReader(snap.Bytes()))
