@@ -165,23 +165,6 @@ func BenchmarkHierCluster(b *testing.B) {
 
 // ---- substrate micro-benchmarks ----
 
-// BenchmarkLeNetIteration measures one real LeNet forward+backward on a
-// batch of 64 (the paper's per-iteration GPU workload, on the host CPU).
-func BenchmarkLeNetIteration(b *testing.B) {
-	train, _ := SyntheticMNIST(1, 256, 64)
-	net := LeNet(Shape{C: 1, H: 28, W: 28}, 10).Build(1)
-	batch := 64
-	x := train.Images[:batch*train.Spec.SampleDim()]
-	labels := train.Labels[:batch]
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrad()
-		net.LossAndGrad(x, labels, batch)
-		net.SGDStep(0.01)
-	}
-}
-
 // BenchmarkTinyCNNIteration measures the experiment stand-in's iteration.
 func BenchmarkTinyCNNIteration(b *testing.B) {
 	train, _ := SyntheticMNIST(1, 256, 64)

@@ -159,10 +159,15 @@ type gemmEntry struct {
 	Name         string             `json:"name"`
 	NsOp         int64              `json:"ns_op"`
 	GFLOPSByTier map[string]float64 `json:"gflops_by_tier,omitempty"`
-	AllocsOp     *int64             `json:"allocs_op,omitempty"`
-	OldNsOp      int64              `json:"old_ns_op,omitempty"`
-	OldGFLOPS    float64            `json:"old_gflops,omitempty"`
-	Speedup      float64            `json:"speedup,omitempty"`
+	// AllocsOp, where an entry records it, is gated exactly — on ns-only
+	// entries too, whose ns/op stays an ungated host-speed reference. It is
+	// how the layer rows (ReLU, pooling) pin their zero-allocation contract.
+	// Entries whose count follows the host's pool width (GEMM, MatMul: par.For
+	// allocates per dispatch) leave it out; -update never adds it.
+	AllocsOp  *int64  `json:"allocs_op,omitempty"`
+	OldNsOp   int64   `json:"old_ns_op,omitempty"`
+	OldGFLOPS float64 `json:"old_gflops,omitempty"`
+	Speedup   float64 `json:"speedup,omitempty"`
 }
 
 // tierKeys lists an entry's recorded tiers for the MISSING note.
@@ -276,6 +281,18 @@ func gate(dir, tier string, fresh map[string]benchResult, tol float64, update bo
 				rows = append(rows, gateRow{File: "BENCH_gemm.json", Name: entry.Name,
 					Metric: "ns/op", Base: float64(entry.NsOp), Status: statusSkipped,
 					Note: "host-speed metric, not gated"})
+				if entry.AllocsOp == nil {
+					continue
+				}
+				got := fresh[gemmBenchName(entry.Name)]
+				if al, ok := got.Metrics["allocs/op"]; ok && update {
+					v := int64(al)
+					entry.AllocsOp = &v
+					entry.NsOp = int64(got.Metrics["ns/op"])
+					changed = true
+				} else {
+					rows = append(rows, gemmAllocs(entry, got))
+				}
 				continue
 			}
 			got, ok := fresh[gemmBenchName(entry.Name)]
@@ -295,7 +312,7 @@ func gate(dir, tier string, fresh map[string]benchResult, tol float64, update bo
 				if ns, ok := got.Metrics["ns/op"]; ok {
 					entry.NsOp = int64(ns)
 				}
-				if al, ok := got.Metrics["allocs/op"]; ok {
+				if al, ok := got.Metrics["allocs/op"]; ok && entry.AllocsOp != nil {
 					v := int64(al)
 					entry.AllocsOp = &v
 				}
@@ -322,6 +339,9 @@ func gate(dir, tier string, fresh map[string]benchResult, tol float64, update bo
 				continue
 			}
 			rows = append(rows, compare("BENCH_gemm.json", entry.Name, "GFLOPS", baseGF, gflops, tol, true))
+			if entry.AllocsOp != nil {
+				rows = append(rows, gemmAllocs(entry, got))
+			}
 		}
 		if update && changed {
 			out, err := json.MarshalIndent(base, "", "  ")
@@ -412,20 +432,7 @@ func gateSimKernel(dir string, fresh map[string]benchResult, tol float64, update
 		}
 		if entry.AllocsPerOp != nil {
 			need("allocs/op", *entry.AllocsPerOp, func(v float64) gateRow {
-				row := gateRow{File: simFile, Name: short, Metric: "allocs/op",
-					Base: *entry.AllocsPerOp, Fresh: v}
-				switch {
-				case v > *entry.AllocsPerOp:
-					row.Status = statusFail
-					row.Note = fmt.Sprintf("hot path allocates: %.0f allocs/op (baseline %.0f, gated exactly)",
-						v, *entry.AllocsPerOp)
-				case v < *entry.AllocsPerOp:
-					row.Status = statusImproved
-					row.Note = "fewer allocations than baseline — consider regenerating with -update"
-				default:
-					row.Status = statusOK
-				}
-				return row
+				return exactAllocs(simFile, short, *entry.AllocsPerOp, v, "hot path")
 			})
 		}
 		if entry.EventsPerOp != nil {
@@ -533,20 +540,7 @@ func gateServe(dir string, fresh map[string]benchResult, tol float64, update boo
 					Base: *entry.AllocsPerOp, Status: statusMissing, Note: "no allocs/op metric reported"})
 				continue
 			}
-			row := gateRow{File: serveFile, Name: short, Metric: "allocs/op",
-				Base: *entry.AllocsPerOp, Fresh: al}
-			switch {
-			case al > *entry.AllocsPerOp:
-				row.Status = statusFail
-				row.Note = fmt.Sprintf("serving hot path allocates: %.0f allocs/op (baseline %.0f, gated exactly)",
-					al, *entry.AllocsPerOp)
-			case al < *entry.AllocsPerOp:
-				row.Status = statusImproved
-				row.Note = "fewer allocations than baseline — consider regenerating with -update"
-			default:
-				row.Status = statusOK
-			}
-			rows = append(rows, row)
+			rows = append(rows, exactAllocs(serveFile, short, *entry.AllocsPerOp, al, "serving hot path"))
 		}
 	}
 	if update && changed {
@@ -559,6 +553,34 @@ func gateServe(dir string, fresh map[string]benchResult, tol float64, update boo
 		}
 	}
 	return rows, nil
+}
+
+// gemmAllocs gates a BENCH_gemm.json entry's recorded allocs_op against the
+// fresh run; a run that did not report the metric is MISSING.
+func gemmAllocs(entry *gemmEntry, got benchResult) gateRow {
+	al, ok := got.Metrics["allocs/op"]
+	if !ok {
+		return gateRow{File: "BENCH_gemm.json", Name: entry.Name, Metric: "allocs/op",
+			Base: float64(*entry.AllocsOp), Status: statusMissing, Note: "benchmark did not run with -benchmem"}
+	}
+	return exactAllocs("BENCH_gemm.json", entry.Name, float64(*entry.AllocsOp), al, "kernel hot path")
+}
+
+// exactAllocs gates allocs/op exactly, whatever the tolerance: one more
+// allocation than the baseline on a steady-state hot path fails.
+func exactAllocs(file, name string, base, fresh float64, what string) gateRow {
+	row := gateRow{File: file, Name: name, Metric: "allocs/op", Base: base, Fresh: fresh}
+	switch {
+	case fresh > base:
+		row.Status = statusFail
+		row.Note = fmt.Sprintf("%s allocates: %.0f allocs/op (baseline %.0f, gated exactly)", what, fresh, base)
+	case fresh < base:
+		row.Status = statusImproved
+		row.Note = "fewer allocations than baseline — consider regenerating with -update"
+	default:
+		row.Status = statusOK
+	}
+	return row
 }
 
 func severity(status string) int {

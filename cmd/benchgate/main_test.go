@@ -75,6 +75,7 @@ func benchTextSim(treeSimMS, hierSimMS, bucketSimMS, gflops float64, s simVals) 
 	w("BenchmarkAllReduceHier", f(300000)+" ns/op\t "+f(hierSimMS)+" sim_ms")
 	w("BenchmarkAllReduceBucketed4", f(33000000)+" ns/op\t "+f(bucketSimMS)+" sim_ms")
 	w("BenchmarkGEMM/20x500x576", f(748799)+" ns/op\t "+f(gflops)+" GFLOPS\t 0 B/op\t 0 allocs/op")
+	w("BenchmarkMatVec", f(142653)+" ns/op\t 0 B/op\t 0 allocs/op")
 	w("BenchmarkSimThroughput", f(250)+" ns/op\t "+f(s.events)+" events/sec\t 0 B/op\t 0 allocs/op")
 	w("BenchmarkSimSteadyStateAllocs", f(45)+" ns/op\t 0 B/op\t "+f(s.allocs)+" allocs/op")
 	w("BenchmarkAllReduceP1024", f(s.p1024Ns)+" ns/op\t "+f(s.p1024SimMS)+" sim_ms")
@@ -126,9 +127,9 @@ func TestGatePassesAtBaseline(t *testing.T) {
 		t.Errorf("%d FAIL rows at baseline: %+v", n, rows)
 	}
 	// 4 sim_ms/GFLOPS gates + events/sec + allocs/op + P1024 sim_ms + P1024
-	// ns/op ceiling.
-	if n := countStatus(rows, statusOK); n != 8 {
-		t.Errorf("%d ok rows, want 8 gated metrics", n)
+	// ns/op ceiling + the GEMM and MatVec rows' allocs_op.
+	if n := countStatus(rows, statusOK); n != 10 {
+		t.Errorf("%d ok rows, want 10 gated metrics", n)
 	}
 	if n := countStatus(rows, statusSkipped); n != 2 {
 		t.Errorf("%d skipped rows, want 2 ns-only entries", n)
@@ -236,6 +237,55 @@ func TestGateFailsOnSingleAllocRegression(t *testing.T) {
 	rows := runGate(t, dir, benchTextSim(5.0, 3.4, 1.25, 15.0, s), false)
 	if countStatus(rows, statusFail) != 1 {
 		t.Errorf("single-alloc regression not caught: %+v", rows)
+	}
+}
+
+// An ns-only BENCH_gemm.json row's allocs_op is gated: its ns/op stays a
+// skipped host-speed reference while one allocation fails the gate and a run
+// without the benchmark is MISSING.
+func TestGateLayerRowsGateAllocsOnly(t *testing.T) {
+	dir := t.TempDir()
+	writeTestBaselines(t, dir)
+	gemm := `{"description": "test", "benchmarks": [
+    { "name": "MaxPool2x2/tinycnn", "ns_op": 9000, "allocs_op": 0 }
+  ]}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_gemm.json"), []byte(gemm), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	layerRows := func(nsOp, allocs string) (ok, fail, missing, skipped int) {
+		out := benchText(5.0, 3.4, 1.25, 15.0)
+		if allocs != "" {
+			out += "BenchmarkMaxPool2x2/tinycnn-2 \t 100\t " + nsOp + " ns/op\t 1.5 GB/s\t 0 B/op\t " + allocs + " allocs/op\n"
+		}
+		for _, r := range runGate(t, dir, out, false) {
+			if r.File != "BENCH_gemm.json" {
+				continue
+			}
+			switch r.Status {
+			case statusOK:
+				ok++
+			case statusFail:
+				fail++
+			case statusMissing:
+				missing++
+			case statusSkipped:
+				skipped++
+			}
+		}
+		return
+	}
+	if ok, fail, missing, skipped := layerRows("9000", "0"); ok != 1 || fail+missing != 0 || skipped != 1 {
+		t.Errorf("at baseline: ok %d fail %d missing %d skipped %d", ok, fail, missing, skipped)
+	}
+	// Ten times slower is host speed, not a regression.
+	if ok, fail, _, _ := layerRows("90000", "0"); ok != 1 || fail != 0 {
+		t.Errorf("ns/op must not be gated: ok %d fail %d", ok, fail)
+	}
+	if _, fail, _, _ := layerRows("9000", "1"); fail != 1 {
+		t.Errorf("one allocation per op not caught (fail %d)", fail)
+	}
+	if _, _, missing, _ := layerRows("", ""); missing != 1 {
+		t.Errorf("absent benchmark not flagged (missing %d)", missing)
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // ReLU is the rectified linear activation used throughout the paper's
-// networks.
+// networks. Both passes are tensor's tier-dispatched compare-and-select
+// kernels; the forward output doubles as the backward mask.
 type ReLU struct {
 	in     Shape
 	outBuf []float32
 	dxBuf  []float32
-	lastB  int
 }
 
 // NewReLU creates an elementwise ReLU layer.
@@ -27,26 +27,13 @@ func (l *ReLU) Init(g *tensor.RNG)           {}
 
 func (l *ReLU) Forward(x []float32, b int, train bool) []float32 {
 	out := buf(&l.outBuf, len(x))
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-	l.lastB = b
+	tensor.ReLU(out, x)
 	return out
 }
 
 func (l *ReLU) Backward(dy []float32, b int) []float32 {
 	dx := buf(&l.dxBuf, len(dy))
-	for i, v := range dy {
-		if l.outBuf[i] > 0 {
-			dx[i] = v
-		} else {
-			dx[i] = 0
-		}
-	}
+	tensor.ReLUGrad(dx, dy, l.outBuf)
 	return dx
 }
 

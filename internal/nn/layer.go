@@ -45,7 +45,10 @@ type Layer interface {
 	// Init fills bound parameters (Xavier for weights, zero for biases).
 	Init(g *tensor.RNG)
 	// Forward runs the layer on a batch of b samples. When train is false
-	// the layer may skip bookkeeping needed only for Backward.
+	// the layer records nothing for Backward — no input, no batch size, no
+	// pooling winners — so an inference forward never licenses a Backward:
+	// the batch a layer checks Backward against is that of its last
+	// train=true forward.
 	Forward(x []float32, b int, train bool) []float32
 	// Backward propagates gradients; must be called after a Forward with
 	// train=true on the same batch.

@@ -279,14 +279,15 @@ func (b *Batcher) runBatch() {
 		return
 	}
 	err := b.model.PredictInto(b.batchIn[:n*b.dim], n, b.batchOut[:n*b.classes])
+	if err == nil {
+		// Before the replies: a caller that has its answer is already counted.
+		b.stats.record(n)
+	}
 	for i := 0; i < n; i++ {
 		r := b.live[i]
 		if err == nil {
 			copy(r.out, b.batchOut[i*b.classes:(i+1)*b.classes])
 		}
 		r.done <- err
-	}
-	if err == nil {
-		b.stats.record(n)
 	}
 }

@@ -31,15 +31,21 @@
 //
 // The HTTP layer (Server) is deliberately thin: POST /v1/predict decodes
 // one sample, rides the Batcher, returns argmax+logits; GET /v1/healthz
-// and GET /v1/stats expose liveness and the batching counters. JSON
-// encoding allocates — only the batching core is allocation-free.
+// and GET /v1/stats expose liveness and the batching counters. The body
+// {"input":[numbers]} is parsed in one pass into pooled scratch (decode.go;
+// any other body goes to encoding/json, and the two agree bit for bit):
+// handlers share the processors with the dispatcher's forward pass, so what
+// a request costs before it is admitted is capacity the batch does not get.
+// JSON encoding allocates — only the batching core is allocation-free.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"scaledl/internal/nn"
@@ -96,6 +102,15 @@ type predictRequest struct {
 	Input []float32 `json:"input"`
 }
 
+// scratch is what one predict request needs only until Do returns: the raw
+// body and the decoded sample.
+type scratch struct {
+	body bytes.Buffer
+	in   []float32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 type predictResponse struct {
 	Argmax int       `json:"argmax"`
 	Logits []float32 `json:"logits"`
@@ -110,14 +125,22 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Do copies the sample into the batch before it answers, so the body
+	// and the decoded sample can go back to the pool when this returns.
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(r.Body)
+	if err == nil {
+		sc.in, err = decodeInput(sc.body.Bytes(), sc.in)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
 		return
 	}
-	if len(req.Input) != s.model.InputDim() {
+	if len(sc.in) != s.model.InputDim() {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("input has %d values, model wants %d", len(req.Input), s.model.InputDim()))
+			fmt.Sprintf("input has %d values, model wants %d", len(sc.in), s.model.InputDim()))
 		return
 	}
 	var deadline time.Time
@@ -132,7 +155,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		deadline = time.Now().Add(s.cfg.DefaultDeadline)
 	}
 	out := make([]float32, s.model.Classes())
-	switch err := s.b.Do(req.Input, out, deadline); err {
+	switch err := s.b.Do(sc.in, out, deadline); err {
 	case nil:
 	case ErrShed:
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))

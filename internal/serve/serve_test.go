@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,5 +274,60 @@ func TestHundredConcurrentRequests(t *testing.T) {
 	wg.Wait()
 	if st := s.Batcher().Stats(); st.Served < n {
 		t.Errorf("served %d of %d", st.Served, n)
+	}
+}
+
+// decodeInput must be indistinguishable from encoding/json: the same
+// float32 bits for every body both accept, an error exactly when it errors.
+// The table holds bodies the single pass takes and bodies it must hand over.
+func TestDecodeInputMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	vals := []float32{0, float32(math.Copysign(0, -1)), 1, -1, math.MaxFloat32, -math.MaxFloat32,
+		math.SmallestNonzeroFloat32, 1e-40, 0.1, 1.0 / 3, 16777217, 1e21, 1e-7}
+	for len(vals) < 400 {
+		vals = append(vals, math.Float32frombits(rng.Uint32()&^0x7f800000|uint32(rng.Intn(254)+1)<<23),
+			float32(rng.Intn(256))/255)
+	}
+	canonical, err := json.Marshal(predictRequest{Input: vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := parseInput(canonical, nil); !ok {
+		t.Error("the single pass refused a body json.Marshal wrote")
+	}
+	bodies := []string{
+		string(canonical),
+		`{"input":[]}`, ` { "input" : [ 1 , 2.5e0 ,-3E+2,4e-1 ] } ` + "\r\n\t",
+		`{"input":[-0,0.0,1e-50,1e38,3.4028235e38,3.4028236e38,1.00000001]}`,
+		`{"input":[1e39]}`, `{"input":[1e999]}`, `{"input":[01]}`, `{"input":[1.]}`, `{"input":[.5]}`,
+		`{"input":[+1]}`, `{"input":[-]}`, `{"input":[1e]}`, `{"input":[1e+]}`, `{"input":[0x10]}`,
+		`{"input":[1_0]}`, `{"input":[NaN]}`, `{"input":[Infinity]}`, `{"input":["1"]}`, `{"input":[[1]]}`,
+		`{"input":[1,]}`, `{"input":[,1]}`, `{"input":[1 2]}`, `{"input":[1`, `{"input":[1]`, `{"input":`,
+		`{"input":null}`, `{"input":1}`, `{"input":{}}`, `{}`, `[]`, `null`, ``, `{`, `x`,
+		`{"Input":[1,2]}`, `{"INPUT":[1,2]}`, `{"input":[1,2]}`, `{"other":[9],"input":[1,2]}`,
+		`{"input":[1,2],"other":3}`, `{"input":[1],"input":[2,3]}`, `{"input":[1,2]} trailing`,
+		`{"input":[1,2]}{"input":[3]}`, `{"input":[1,2]}]`,
+		`{"input":[12345678901234567890123456789012345678.5,0.000000000000000000000000000000000000001]}`,
+	}
+	for _, body := range bodies {
+		var want predictRequest
+		wantErr := json.NewDecoder(strings.NewReader(body)).Decode(&want)
+		got, gotErr := decodeInput([]byte(body), make([]float32, 3, 8))
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Errorf("%.60q: error %v, encoding/json %v", body, gotErr, wantErr)
+			continue
+		}
+		if wantErr != nil {
+			continue
+		}
+		if len(got) != len(want.Input) {
+			t.Errorf("%.60q: %d values, encoding/json %d", body, len(got), len(want.Input))
+			continue
+		}
+		for i := range got {
+			if math.Float32bits(got[i]) != math.Float32bits(want.Input[i]) {
+				t.Errorf("%.60q: value %d is %v, encoding/json %v", body, i, got[i], want.Input[i])
+			}
+		}
 	}
 }

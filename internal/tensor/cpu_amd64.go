@@ -71,6 +71,9 @@ func detectKernels() []*kernel {
 			dot:      dotAVX512Wrap,
 			minMax:   minMaxAVX512Wrap,
 			quant8:   quantize8AVX512Wrap,
+			relu:     reluAVX512Wrap,
+			reluGrad: reluGradAVX512Wrap,
+			pool2x2:  maxPool2x2AVX512Wrap,
 		}
 		// fp16 storage decodes through VCVTPH2PS; gate it on the CPU
 		// actually advertising half-precision conversion support.
@@ -91,6 +94,9 @@ func detectKernels() []*kernel {
 			dot:      dotAVX2Wrap,
 			minMax:   minMaxAVX2Wrap,
 			quant8:   quantize8AVX2Wrap,
+			relu:     reluAVX2Wrap,
+			reluGrad: reluGradAVX2Wrap,
+			pool2x2:  maxPool2x2AVX2Wrap,
 		})
 	}
 	ks = append(ks, &kernel{
@@ -102,6 +108,9 @@ func detectKernels() []*kernel {
 		dot:      dotUnroll,
 		minMax:   minMaxGo,
 		quant8:   quantize8Go,
+		relu:     reluGo,
+		reluGrad: reluGradGo,
+		pool2x2:  maxPool2x2Go,
 	}, genericKernel())
 	return ks
 }

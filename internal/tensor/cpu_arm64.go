@@ -17,6 +17,9 @@ func detectKernels() []*kernel {
 			dot:      dotUnroll,
 			minMax:   minMaxGo,
 			quant8:   quantize8Go,
+			relu:     reluGo,
+			reluGrad: reluGradGo,
+			pool2x2:  maxPool2x2Go,
 		},
 		genericKernel(),
 	}

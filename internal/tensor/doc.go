@@ -45,6 +45,14 @@
 //     sequence), which is why the gradient-compression package may ride the
 //     vector dispatch without any trajectory risk. Dot32 is only
 //     per-tier-deterministic, like the GEMMs.
+//   - ReLU, ReLUGrad and MaxPoolRow — the non-GEMM layer kernels of
+//     internal/nn — are bit-identical across all tiers too: they only compare
+//     and select, never round. Their edge cases are part of the contract
+//     (vec.go spells them out): ReLU sends -0 and NaN to +0; ReLUGrad passes
+//     the gradient's bits where the forward output is positive and +0
+//     elsewhere; MaxPoolRow scans a window row-major, the first of tied taps
+//     wins, and a NaN tap never displaces a winner. A training step therefore
+//     differs between tiers only through its GEMMs.
 //
 // # Low precision
 //

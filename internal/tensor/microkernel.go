@@ -10,8 +10,8 @@ import (
 // CPU's feature set (cpu_*.go) and drives every packed GEMM in the process:
 // its register tile (MR×NR), the cache blocks derived from it, the fp32
 // micro-kernel, the low-precision (bf16/fp16 storage, fp32 accumulate)
-// micro-kernels, and the vector helpers (dot, min/max, quantize) that ride
-// behind the same feature gate.
+// micro-kernels, and the vector helpers (dot, min/max, quantize, ReLU and the
+// 2×2 max-pool window kernel) that ride behind the same feature gate.
 //
 // Tiers, widest first:
 //
@@ -31,7 +31,8 @@ import (
 // kernel is one dispatch tier: its identity, blocking, and kernels. kern
 // computes an MR×NR register tile from packed fp32 panels; kernBF16 and
 // kernFP16 do the same from packed uint16 panels (bf16 / IEEE half storage)
-// with fp32 accumulation. dot is the tier's vector dot product.
+// with fp32 accumulation. dot is the tier's vector dot product; the remaining
+// fields are the vec.go helpers, each bit-identical to its portable Go form.
 type kernel struct {
 	tier     string
 	bl       Blocking
@@ -41,6 +42,10 @@ type kernel struct {
 	dot      func(a, b []float32) float32
 	minMax   func(x []float32) (lo, hi float32)
 	quant8   func(v, out []float32, lo, scale, inv float32)
+	relu     func(dst, x []float32)
+	reluGrad func(dx, dy, y []float32)
+	// pool2x2 is the 2×2 stride-2 case of MaxPoolRow (row pitch w).
+	pool2x2 func(out []float32, arg []int32, src []float32, w int, base int32)
 }
 
 // active is the selected tier. It is written once at init (and by the
@@ -152,6 +157,9 @@ func genericKernel() *kernel {
 		dot:      dotUnroll,
 		minMax:   minMaxGo,
 		quant8:   quantize8Go,
+		relu:     reluGo,
+		reluGrad: reluGradGo,
+		pool2x2:  maxPool2x2Go,
 	}
 }
 

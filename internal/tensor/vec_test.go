@@ -91,3 +91,123 @@ func TestDot32PerTier(t *testing.T) {
 		})
 	}
 }
+
+// saltedVec fills n floats with a few distinct normals (so ties are common)
+// salted with ±0, ±Inf and NaN — every edge the compare-and-select kernels
+// document.
+func saltedVec(g *RNG, n int) []float32 {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	salt := []float32{0, float32(math.Copysign(0, -1)), inf, -inf, nan, -nan, 1, -1, 0.5, -0.5, 2}
+	x := make([]float32, n)
+	for i := range x {
+		if g.Intn(3) == 0 {
+			x[i] = float32(g.Intn(9)-4) / 4
+		} else {
+			x[i] = salt[g.Intn(len(salt))]
+		}
+	}
+	return x
+}
+
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestReLUBitIdenticalAcrossTiers compares ReLU and ReLUGrad on every tier
+// with the branching scalar loops they replaced, at every length around the
+// vector widths (so each block/tail split is hit), in place and out of place.
+func TestReLUBitIdenticalAcrossTiers(t *testing.T) {
+	g := NewRNG(55)
+	for n := 0; n <= 67; n++ {
+		x, dy := saltedVec(g, n), saltedVec(g, n)
+		want := make([]float32, n)
+		wantGrad := make([]float32, n)
+		for i, v := range x {
+			if v > 0 {
+				want[i] = v
+				wantGrad[i] = dy[i]
+			}
+		}
+		forEachTier(t, func(t *testing.T) {
+			got := make([]float32, n)
+			ReLU(got, x)
+			if i := sameBits(got, want); i >= 0 {
+				t.Fatalf("n=%d: ReLU(%v) = %v, want %v", n, x[i], got[i], want[i])
+			}
+			grad := make([]float32, n)
+			ReLUGrad(grad, dy, got)
+			if i := sameBits(grad, wantGrad); i >= 0 {
+				t.Fatalf("n=%d: ReLUGrad(dy %v, y %v) = %v, want %v", n, dy[i], got[i], grad[i], wantGrad[i])
+			}
+			inPlace := append([]float32(nil), x...)
+			ReLU(inPlace, inPlace)
+			gradInPlace := append([]float32(nil), dy...)
+			ReLUGrad(gradInPlace, gradInPlace, got)
+			if sameBits(inPlace, want) >= 0 || sameBits(gradInPlace, wantGrad) >= 0 {
+				t.Fatalf("n=%d: aliased form differs", n)
+			}
+		})
+	}
+}
+
+// TestMaxPoolRowBitIdenticalAcrossTiers compares MaxPoolRow on every tier
+// with a plain first-tap-then-strictly-greater window scan: winners and
+// their positions, with and without an argmax row, for the 2×2/2 kernel the
+// tiers specialise and for geometries only the portable scan serves.
+func TestMaxPoolRowBitIdenticalAcrossTiers(t *testing.T) {
+	g := NewRNG(56)
+	for _, geo := range []struct{ k, stride int }{{2, 2}, {1, 1}, {2, 1}, {2, 3}, {3, 1}, {3, 2}, {4, 3}} {
+		for n := 0; n <= 67; n++ {
+			span := geo.k
+			if n > 0 {
+				span += (n - 1) * geo.stride
+			}
+			w := span + g.Intn(3) // row pitch ≥ the taps one row supplies
+			src := saltedVec(g, (geo.k-1)*w+span)
+			const base = 1000
+			want := make([]float32, n)
+			wantArg := make([]int32, n)
+			for j := range want {
+				at := -1
+				var best float32
+				for ky := 0; ky < geo.k; ky++ {
+					for kx := 0; kx < geo.k; kx++ {
+						p := ky*w + j*geo.stride + kx
+						if v := src[p]; at < 0 || v > best {
+							best, at = v, p
+						}
+					}
+				}
+				want[j], wantArg[j] = best, int32(base+at)
+			}
+			forEachTier(t, func(t *testing.T) {
+				got := make([]float32, n+1)
+				arg := make([]int32, n+1)
+				got[n], arg[n] = 7, 7 // canaries past the row
+				MaxPoolRow(got[:n], arg[:n], src, w, geo.k, geo.stride, base)
+				noArg := make([]float32, n)
+				MaxPoolRow(noArg, nil, src, w, geo.k, geo.stride, base)
+				if got[n] != 7 || arg[n] != 7 {
+					t.Fatalf("%d/%d n=%d: wrote past the row", geo.k, geo.stride, n)
+				}
+				if i := sameBits(got[:n], want); i >= 0 {
+					t.Fatalf("%d/%d n=%d window %d: got %v want %v", geo.k, geo.stride, n, i, got[i], want[i])
+				}
+				if sameBits(noArg, want) >= 0 {
+					t.Fatalf("%d/%d n=%d: result differs without an argmax row", geo.k, geo.stride, n)
+				}
+				for i := range wantArg {
+					if arg[i] != wantArg[i] {
+						t.Fatalf("%d/%d n=%d window %d: winner at %d, want %d", geo.k, geo.stride, n, i, arg[i], wantArg[i])
+					}
+				}
+			})
+		}
+	}
+}
